@@ -18,7 +18,7 @@
 //    logic, 9n faults, every one packable), where the packed path's
 //    64-faults-per-sweep gain is undiluted;
 //  * a measured-scaling grid: the same lane-compatible universe over
-//    thread counts {1, 2, 4, 8} x packed lane widths {64, 256} on the
+//    thread counts {1, 2, 4, 8} x packed lane widths {64, 512} on the
 //    work-stealing batch scheduler, every cell parity-checked — the
 //    curves CI records per run (with per-config steal counts and the
 //    widest lane word used) to show the multicore and wide-lane gains
@@ -560,7 +560,7 @@ SectionReport bench_multiport(mem::Addr n, unsigned ports,
 }
 
 /// Measured multicore scaling: the same lane-compatible universe swept
-/// over thread counts {1, 2, 4, 8} x packed lane widths {64, 256} on
+/// over thread counts {1, 2, 4, 8} x packed lane widths {64, 512} on
 /// the work-stealing batch scheduler.  Every cell is parity-checked
 /// against the first (w64/t1), so the whole grid demonstrates the
 /// tentpole determinism claim — bit-identical output at any (threads,
@@ -580,7 +580,7 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
   report.n = n;
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
-  for (const unsigned lane_width : {64u, 256u}) {
+  for (const unsigned lane_width : {64u, 512u}) {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       analysis::EngineOptions eng;
       eng.threads = threads;
@@ -605,7 +605,7 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
     }
     return 0.0;
   };
-  for (const unsigned width : {64u, 256u}) {
+  for (const unsigned width : {64u, 512u}) {
     const double t1 = seconds_of(width, 1);
     if (t1 <= 0) continue;
     std::printf("  scaling w%-3u:", width);
@@ -616,9 +616,9 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
     std::printf("\n");
   }
   const double w64t1 = seconds_of(64, 1);
-  const double w256t1 = seconds_of(256, 1);
-  if (w64t1 > 0 && w256t1 > 0) {
-    std::printf("  wide lanes (w256 vs w64, 1t): %.2fx\n\n", w64t1 / w256t1);
+  const double w512t1 = seconds_of(512, 1);
+  if (w64t1 > 0 && w512t1 > 0) {
+    std::printf("  wide lanes (w512 vs w64, 1t): %.2fx\n\n", w64t1 / w512t1);
   }
   return report;
 }

@@ -32,7 +32,7 @@ also diffed fresh-vs-baseline for every section, like ops/coverage.
 
 --require-scaling pins the measured-scaling grid: the fresh report
 must contain a section whose universe starts with "scaling", covering
-every threads {1, 2, 4, 8} x lane width {64, 256} cell (config names
+every threads {1, 2, 4, 8} x lane width {64, 512} cell (config names
 "wW/tT"), with per-config steals / wide_faults / max_lanes telemetry
 present and max_lanes matching the config's lane width.  The timings
 themselves are machine-dependent and not checked — presence and
@@ -91,7 +91,7 @@ def main():
         "--require-scaling",
         action="store_true",
         help="fail unless the fresh report has a complete scaling "
-        "section (threads {1,2,4,8} x lane width {64,256} with "
+        "section (threads {1,2,4,8} x lane width {64,512} with "
         "scheduler telemetry per config)",
     )
     args = parser.parse_args()
@@ -152,7 +152,7 @@ def main():
             )
         for s in scaling:
             configs = {c.get("name"): c for c in s.get("configs", [])}
-            for width in (64, 256):
+            for width in (64, 512):
                 for threads in (1, 2, 4, 8):
                     name = f"w{width}/t{threads}"
                     c = configs.get(name)

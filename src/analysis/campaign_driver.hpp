@@ -66,12 +66,13 @@ struct DriverOptions {
   /// analytic per-lane op accounting).
   bool early_abort = false;
   /// Packed lane width: 64, 256, 512, or 0 for
-  /// mem::default_lane_width().  Per shard the driver dispatches the
-  /// widest word the shard's fault range can fill at least half of,
-  /// falling back to 64 otherwise; every width produces bit-identical
-  /// results (the instantiations share one templated replay), so this
-  /// knob moves only throughput and sched telemetry.  Validated by the
-  /// driver constructor.
+  /// mem::default_lane_width() (512).  Per shard the driver dispatches
+  /// the widest word the shard's fault range can fill at least half
+  /// of (512 lanes at >= 256 faults, 256 at >= 128), falling back to
+  /// 64 otherwise; every width produces bit-identical results (the
+  /// instantiations share one templated replay), so this knob moves
+  /// only throughput and sched telemetry.  Validated by the driver
+  /// constructor.
   unsigned lane_width = 0;
 };
 

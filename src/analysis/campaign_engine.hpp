@@ -77,14 +77,15 @@ struct EngineOptions {
   /// use_oracle is off.
   bool packed = true;
   /// Lane width of the packed sweeps: 64 (one std::uint64_t lane
-  /// word), 256 or 512 (SIMD-wide mem::WideWord lanes — profitable
-  /// when the build vectorizes them, see the PRT_SIMD CMake option),
-  /// or 0 to defer to mem::default_lane_width() (the PRT_LANES
-  /// environment override, else 256 on PRT_SIMD builds, else 64).
-  /// Per-batch the driver falls back to 64 whenever a batch cannot
-  /// fill at least half the wide lanes.  Verdicts, coverage, escapes
-  /// and op accounting are bit-identical at every width — only
-  /// throughput and the CampaignResult::sched telemetry change.
+  /// word), 256 or 512 (mem::WideWord lanes), or 0 for
+  /// mem::default_lane_width(), which is 512.  Per shard the driver
+  /// runs 512 lanes at >= 256 faults, 256 at >= 128, else 64.  The
+  /// replay's cost is per transcript record, so wide sweeps pay: a
+  /// 4-worker n = 8192 classical campaign runs ~3x faster at 512 lanes
+  /// than at 64 (mem::default_lane_width has the numbers).  Verdicts,
+  /// coverage, escapes and op accounting are bit-identical at every
+  /// width — only throughput and the CampaignResult::sched telemetry
+  /// change.
   unsigned lane_width = 0;
 };
 

@@ -60,11 +60,10 @@ struct MarchEngineOptions {
   /// retire as their mismatch latches, with per-lane op accounting
   /// bit-identical to the scalar abort path (march/march_runner).
   bool early_abort = false;
-  /// Lane width of the packed sweeps: 64, 256, 512, or 0 to defer to
-  /// mem::default_lane_width().  Same contract as
-  /// EngineOptions::lane_width — per-batch 64-lane fallback when a
-  /// batch cannot fill half the wide lanes, bit-identical results at
-  /// every width.
+  /// Lane width of the packed sweeps: 64, 256, 512, or 0 for
+  /// mem::default_lane_width() (512).  Same contract as
+  /// EngineOptions::lane_width — per shard 512 lanes at >= 256 faults,
+  /// 256 at >= 128, else 64; bit-identical results at every width.
   unsigned lane_width = 0;
 };
 

@@ -10,10 +10,9 @@
 //    lane op is one ALU instruction;
 //  * WideWord<K> (std::array<std::uint64_t, K>) — 64*K lanes.  All its
 //    operators are straight-line per-limb folds with no carries and no
-//    cross-limb flow, exactly the shape the autovectorizer lowers to
-//    one AVX2 (K = 4) or AVX-512 (K = 8) instruction per op when the
-//    build enables those ISAs (the PRT_SIMD CMake option adds -mavx2;
-//    plain builds still vectorize the folds at SSE2 width).
+//    cross-limb flow, which plain builds already vectorize at SSE2
+//    width; WideWord<8> (512 lanes) is the width campaigns run by
+//    default (default_lane_width below).
 //
 // Everything that touches raw lane-word bit twiddling — single-lane
 // masks, broadcasts, popcounts, set-lane iteration — lives in the
@@ -33,13 +32,12 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <type_traits>
 
 namespace prt::mem {
 
-/// One bit per lane across the 64 packed memories — the narrow (and
-/// default) lane word.
+/// One bit per lane across the 64 packed memories — the narrow lane
+/// word (small shards fall back to it; the lane helpers default to it).
 using LaneWord = std::uint64_t;
 
 /// 64*K lanes as K carry-less uint64 limbs.  Bitwise ops are per-limb
@@ -223,25 +221,14 @@ inline void for_each_set_lane(const WideWord<K>& m, Fn&& fn) {
   }
 }
 
-/// Default lane width for campaign dispatch: the PRT_LANES environment
-/// override when set to 64, 256 or 512 (benches and CI pin it), else
-/// 256 when the build compiled the SIMD path in (the PRT_SIMD CMake
-/// option), else the status-quo 64.  Campaigns fall back to 64 per
-/// batch anyway when a batch cannot fill half the wide lanes
-/// (analysis/campaign_driver.hpp).
-[[nodiscard]] inline unsigned default_lane_width() {
-  if (const char* env = std::getenv("PRT_LANES")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && (v == 64 || v == 256 || v == 512)) {
-      return static_cast<unsigned>(v);
-    }
-  }
-#if defined(PRT_SIMD)
-  return 256;
-#else
-  return 64;
-#endif
-}
+/// Default lane width for campaign dispatch: 512.  Replay cost is
+/// dominated by per-transcript-record work, not per-fault work, so the
+/// widest word wins: perfbench's prt_classical (n = 8192, 4 workers,
+/// 4-core AVX-512 host) sweeps a median 1.6e11 lane-ops/s at 512 lanes
+/// against 5.4e10 at 64, and -march=native does not beat the plain
+/// build.  Campaigns still fall back per shard when a shard cannot
+/// fill half the wide lanes (analysis/campaign_driver.hpp): 256 lanes
+/// at >= 128 faults, else 64.
+[[nodiscard]] constexpr unsigned default_lane_width() { return 512; }
 
 }  // namespace prt::mem

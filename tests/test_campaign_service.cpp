@@ -156,6 +156,24 @@ TEST(CampaignService, StatsRollUpDispatchTallies) {
   }
 }
 
+// With default options every shard big enough to fill half a 512-lane
+// word runs the wide word, and the result equals a 64-lane engine run.
+TEST(CampaignService, DefaultOptionsRunWideLanes) {
+  const mem::Addr n = 256;
+  CampaignRequest req = prt_request(n);
+  ASSERT_GE(req.universe.size(), 4u * 256u);  // >= 256 faults per shard
+  EngineOptions narrow;
+  narrow.lane_width = 64;
+  const CampaignResult reference =
+      run_prt_campaign(req.universe, *req.scheme, req.options, narrow);
+  CampaignService service({.threads = 4});
+  const RequestOutcome& out = service.submit(std::move(req)).wait();
+  ASSERT_EQ(out.status, RequestStatus::kComplete);
+  EXPECT_TRUE(out.result == reference);
+  EXPECT_EQ(out.result.sched.max_lanes, 512u);
+  EXPECT_GT(service.stats().wide_faults, 0u);
+}
+
 // --- admission / validation -----------------------------------------
 
 TEST(CampaignService, MalformedRequestsFailFast) {

@@ -15,8 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/op_transcript.hpp"
@@ -183,48 +181,10 @@ TEST(LaneWord, WideLimbLayoutMatchesUint64LowLanes) {
   static_assert(mem::is_wide_lane_word_v<mem::WideWord<4>>);
 }
 
-/// RAII save/restore of one environment variable around a test body.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) saved_ = v;
-  }
-  ~ScopedEnv() {
-    if (saved_.empty()) {
-      ::unsetenv(name_);
-    } else {
-      ::setenv(name_, saved_.c_str(), 1);
-    }
-  }
-  void set(const char* value) { ::setenv(name_, value, 1); }
-  void unset() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-  std::string saved_;
-};
-
-TEST(LaneWord, DefaultLaneWidthHonoursEnvOverride) {
-  ScopedEnv env("PRT_LANES");
-  env.set("512");
+// Campaigns run 512-lane sweeps unless a caller asks for a narrower
+// word; there is no build or environment switch.
+TEST(LaneWord, DefaultLaneWidthIs512) {
   EXPECT_EQ(mem::default_lane_width(), 512u);
-  env.set("256");
-  EXPECT_EQ(mem::default_lane_width(), 256u);
-  env.set("64");
-  EXPECT_EQ(mem::default_lane_width(), 64u);
-#if defined(PRT_SIMD)
-  constexpr unsigned kCompiledDefault = 256;
-#else
-  constexpr unsigned kCompiledDefault = 64;
-#endif
-  // Widths the dispatch layer has no instantiation for, and garbage,
-  // fall back to the compiled default rather than half-applying.
-  env.set("128");
-  EXPECT_EQ(mem::default_lane_width(), kCompiledDefault);
-  env.set("potato");
-  EXPECT_EQ(mem::default_lane_width(), kCompiledDefault);
-  env.unset();
-  EXPECT_EQ(mem::default_lane_width(), kCompiledDefault);
 }
 
 // --- width-generic PackedVerdictT accessors (satellite) -----------------

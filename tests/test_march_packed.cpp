@@ -335,7 +335,8 @@ TEST(RunMarchPacked, WideSweepMatchesNarrowGroups) {
 }
 
 // Campaign-level width sweep: bit-identical results at 64/256/512
-// lanes x thread counts, with the wide telemetry engaging exactly when
+// lanes and the default option (lane_width = 0, which must run 512
+// lanes) x thread counts, with the wide telemetry engaging exactly when
 // the shards can fill half the wide lanes.
 TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
   const mem::Addr n = 256;
@@ -352,7 +353,8 @@ TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
     const auto width64_reference = analysis::run_march_campaign(
         universe, march::march_c_minus(), opt, ref_eng);
     if (!early_abort) expect_identical(reference, width64_reference);
-    for (const unsigned lane_width : {256u, 512u}) {
+    for (const unsigned lane_width : {256u, 512u, 0u}) {
+      const unsigned expect_lanes = lane_width != 0 ? lane_width : 512u;
       for (const unsigned threads : {1u, 2u, 4u}) {
         analysis::MarchEngineOptions eng;
         eng.threads = threads;
@@ -367,7 +369,8 @@ TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
             << " early_abort=" << early_abort;
         EXPECT_GT(got.sched.wide_faults, 0u)
             << "width=" << lane_width << " threads=" << threads;
-        EXPECT_EQ(got.sched.max_lanes, lane_width);
+        EXPECT_EQ(got.sched.max_lanes, expect_lanes)
+            << "width=" << lane_width << " threads=" << threads;
       }
     }
   }

@@ -808,12 +808,13 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
 
 // --- lane-width x thread-count parity (the tentpole acceptance) ----------
 
-// The ISSUE's acceptance criterion verbatim: campaign outputs must be
-// bit-identical across lane widths {64, 256, 512} x thread counts
-// {1, 2, 4, 8}, with and without early abort.  Only SchedTelemetry may
-// differ (it is excluded from CampaignResult::operator==); wide widths
-// must actually engage (wide_faults > 0, max_lanes == width) when the
-// shards are big enough to fill half the wide lanes.
+// Campaign outputs must be bit-identical across lane widths
+// {64, 256, 512, default} x thread counts {1, 2, 4, 8}, with and
+// without early abort.  Only SchedTelemetry may differ (it is excluded
+// from CampaignResult::operator==); wide widths must actually engage
+// (wide_faults > 0, max_lanes == width) when the shards are big enough
+// to fill half the wide lanes.  lane_width = 0 is the default option
+// and must run the 512-lane word.
 TEST(PackedCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
   const mem::Addr n = 256;
   const auto universe = mem::classical_universe(n);
@@ -830,7 +831,8 @@ TEST(PackedCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
     const auto width64_reference =
         analysis::run_prt_campaign(universe, scheme, opt, abort_ref_eng);
     if (!early_abort) expect_identical(reference, width64_reference);
-    for (const unsigned lane_width : {64u, 256u, 512u}) {
+    for (const unsigned lane_width : {64u, 256u, 512u, 0u}) {
+      const unsigned expect_lanes = lane_width != 0 ? lane_width : 512u;
       for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         analysis::EngineOptions eng;
         eng.threads = threads;
@@ -845,12 +847,13 @@ TEST(PackedCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
             << "width=" << lane_width << " threads=" << threads
             << " early_abort=" << early_abort;
         EXPECT_EQ(got.packed_faults, width64_reference.packed_faults);
-        if (lane_width > 64) {
+        if (expect_lanes > 64) {
           // This universe is big enough that every dispatch window
           // fills the wide half; the telemetry must show wide batches.
           EXPECT_GT(got.sched.wide_faults, 0u)
               << "width=" << lane_width << " threads=" << threads;
-          EXPECT_EQ(got.sched.max_lanes, lane_width);
+          EXPECT_EQ(got.sched.max_lanes, expect_lanes)
+              << "width=" << lane_width << " threads=" << threads;
           EXPECT_LE(got.sched.wide_faults, got.packed_faults);
         } else {
           EXPECT_EQ(got.sched.wide_faults, 0u);
