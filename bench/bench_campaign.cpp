@@ -47,7 +47,7 @@
 // configs additionally against each other's op counts), so the ratios
 // stay apples-to-apples and a model divergence aborts the bench.  Each
 // section also reports packed_fraction — the share of faults the
-// fastest dispatch routed onto the 64-lane path; with universal
+// fastest dispatch routed onto the packed lane path; with universal
 // packing this is 1.0 for every universe family the bench runs, and
 // scripts/check_bench_baseline.py --packed-full enforces exactly that.
 //
@@ -748,9 +748,25 @@ SectionReport bench_suite(std::size_t fault_cap) {
   return report;
 }
 
+/// What one bench run was: the commit, when, on how many threads, and
+/// how it was built and capped — quick runs and Debug builds time
+/// differently, so every BENCH_history.jsonl line says which it was.
+struct RunStamp {
+  std::string rev;
+  std::string utc;
+  unsigned hardware_threads = 0;
+  unsigned workers = 0;
+  bool quick = false;
+  std::string compiler = __VERSION__;
+#ifdef NDEBUG
+  bool ndebug = true;
+#else
+  bool ndebug = false;
+#endif
+};
+
 void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
-                  const std::string& rev, const std::string& utc,
-                  unsigned hardware_threads, unsigned workers, bool pretty) {
+                  const RunStamp& stamp, bool pretty) {
   // Field separator: newline-indented in pretty mode, a single space
   // in compact mode — never a trailing space before a newline.
   const char* nl = pretty ? "\n" : "";
@@ -759,13 +775,19 @@ void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
     return pretty ? std::string(static_cast<std::size_t>(level) * 2, ' ')
                   : std::string();
   };
+  const char* quick = stamp.quick ? "true" : "false";
+  const char* ndebug = stamp.ndebug ? "true" : "false";
   out << "{" << nl << indent(1) << "\"bench\": \"campaign\"," << sp << nl
-      << indent(1) << "\"rev\": \"" << rev << "\"," << sp << nl << indent(1)
-      << "\"utc\": \"" << utc << "\"," << sp << nl << indent(1)
-      << "\"hardware_concurrency\": " << hardware_threads << "," << sp << nl
-      << indent(1) << "\"threads\": " << workers << "," << sp << nl
-      << indent(1) << "\"lane_width\": " << mem::default_lane_width() << ","
-      << sp << nl << indent(1) << "\"sections\": [" << nl;
+      << indent(1) << "\"rev\": \"" << stamp.rev << "\"," << sp << nl
+      << indent(1) << "\"utc\": \"" << stamp.utc << "\"," << sp << nl
+      << indent(1) << "\"hardware_concurrency\": " << stamp.hardware_threads
+      << "," << sp << nl << indent(1) << "\"threads\": " << stamp.workers
+      << "," << sp << nl << indent(1)
+      << "\"lane_width\": " << mem::default_lane_width() << "," << sp << nl
+      << indent(1) << "\"quick\": " << quick << "," << sp << nl << indent(1)
+      << "\"compiler\": \"" << stamp.compiler << "\"," << sp << nl
+      << indent(1) << "\"ndebug\": " << ndebug << "," << sp << nl
+      << indent(1) << "\"sections\": [" << nl;
   for (std::size_t s = 0; s < reports.size(); ++s) {
     const SectionReport& r = reports[s];
     out << indent(2) << "{" << nl << indent(3) << "\"universe\": \""
@@ -807,9 +829,11 @@ int main(int argc, char** argv) {
   // The suite sweep runs 9 grid points, so its per-point cap is
   // tighter than the single-point sections'.
   std::size_t cap_suite = 2048;
+  RunStamp stamp;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
+      stamp.quick = true;
       cap_small = 512;
       cap_large = 512;
       cap_lane = 512;
@@ -832,13 +856,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned workers = util::default_worker_count();
-  const std::string rev = git_revision();
-  const std::string utc = utc_timestamp();
+  stamp.hardware_threads = std::thread::hardware_concurrency();
+  stamp.workers = util::default_worker_count();
+  stamp.rev = git_revision();
+  stamp.utc = utc_timestamp();
   std::printf(
       "campaign engine bench — rev %s, %u hardware thread(s), %u worker(s)\n\n",
-      rev.c_str(), hw, workers);
+      stamp.rev.c_str(), stamp.hardware_threads, stamp.workers);
   std::vector<SectionReport> reports;
   reports.push_back(bench_classical(256, cap_small));
   reports.push_back(bench_classical(1024, cap_small));
@@ -860,12 +884,12 @@ int main(int argc, char** argv) {
   reports.push_back(bench_suite(cap_suite));
   {
     std::ofstream out("BENCH_campaign.json");
-    write_report(out, reports, rev, utc, hw, workers, /*pretty=*/true);
+    write_report(out, reports, stamp, /*pretty=*/true);
   }
   {
     // One compact line per run — the cross-PR perf trajectory.
     std::ofstream hist("BENCH_history.jsonl", std::ios::app);
-    write_report(hist, reports, rev, utc, hw, workers, /*pretty=*/false);
+    write_report(hist, reports, stamp, /*pretty=*/false);
     hist << "\n";
   }
   std::printf("wrote BENCH_campaign.json, appended BENCH_history.jsonl\n");

@@ -24,10 +24,10 @@ universe the quick sweep is supposed to produce.
 
 --packed-full pins universal packing: the named sections of the fresh
 report must have packed_fraction == 1.0, i.e. every fault of that
-universe rode a 64-lane batch and zero fell back to the scalar
-per-fault path.  A lane-compatibility regression (a fault family
-silently dropping off the packed path) changes no op count and no
-coverage number, so only this fraction catches it.  packed_fraction is
+universe rode a packed lane batch (64, 256 or 512 lanes) and zero fell
+back to the scalar per-fault path.  A lane-compatibility regression (a
+fault family silently dropping off the packed path) changes no op count
+and no coverage number, so only this fraction catches it.  packed_fraction is
 also diffed fresh-vs-baseline for every section, like ops/coverage.
 
 --require-scaling pins the measured-scaling grid: the fresh report
@@ -84,7 +84,7 @@ def main():
         default=[],
         metavar="UNIVERSE",
         help="universe names whose fresh sections must report "
-        "packed_fraction == 1.0 (every fault on the 64-lane path, "
+        "packed_fraction == 1.0 (every fault on the packed lane path, "
         "zero scalar fallbacks)",
     )
     parser.add_argument(

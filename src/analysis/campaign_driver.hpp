@@ -12,8 +12,8 @@
 //     once over the campaign_shard.hpp loops;
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
 //     golden artifacts are fetched from the analysis::OracleCache, how
-//     one fault runs scalar, how one 64-lane batch runs packed, and
-//     whether the workload is lane-packable at all.
+//     one fault runs scalar, how one lane batch (64, 256 or 512 lanes)
+//     runs packed, and whether the workload is lane-packable at all.
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; their results are bit-identical
@@ -63,7 +63,9 @@ struct DriverOptions {
   /// Stop each fault's run at its first failure.  Verdicts, coverage
   /// and escapes are unchanged; CampaignResult::ops shrinks to the
   /// abort-aware scalar reference cost (packed lanes retire with
-  /// analytic per-lane op accounting).
+  /// analytic per-lane op accounting).  Packed batches drop out once
+  /// every lane has latched whether or not this is set (run_batch);
+  /// it decides only what CampaignResult::ops charges for them.
   bool early_abort = false;
   /// Packed lane width: 64, 256, 512, or 0 for
   /// mem::default_lane_width() (512).  Per shard the driver dispatches
@@ -75,6 +77,18 @@ struct DriverOptions {
   /// constructor.
   unsigned lane_width = 0;
 };
+
+/// Ops a packed batch charges to CampaignResult::ops.  The replay
+/// always runs in early-abort mode (the batch drops once every lane
+/// has latched), so `abort_ops` is the per-lane early-abort cost; a
+/// full-run campaign instead charges the complete transcript per lane,
+/// which is what a full replay's scalar_ops would have reported.
+[[nodiscard]] inline std::uint64_t charged_ops(bool early_abort,
+                                               std::uint64_t abort_ops,
+                                               unsigned lanes,
+                                               const core::OpTranscript& t) {
+  return early_abort ? abort_ops : std::uint64_t{lanes} * t.total_ops();
+}
 
 /// PRT-scheme workload: golden artifacts from OracleCache::prt, scalar
 /// runs over the transcript replay (GF(2)) or the live oracle path,
@@ -145,16 +159,20 @@ class PrtWorkload {
   }
 
   /// Runs one flushed lane batch at the batch's width; returns
-  /// {detected lane word, ops to charge for the whole batch} —
-  /// scalar_ops reproduces, per lane, exactly what the scalar path
-  /// would have issued for that fault.
+  /// {detected lane word, ops to charge for the whole batch} — per
+  /// lane exactly what the scalar path would have charged for that
+  /// fault (charged_ops).  The replay drops the batch once every
+  /// active lane has latched; the latch is monotone, so the detected
+  /// mask is that of a full replay.
   template <typename W>
   std::pair<W, std::uint64_t> run_batch(
       ShardState& s, mem::PackedFaultRamT<W>& batch) const {
-    const core::PackedRunOptions run{.early_abort = early_abort_};
     const core::PackedVerdictT<W> v = core::run_prt_packed(
-        batch, entry_->transcript, run, s.template scratch<W>());
-    return {v.detected & batch.active_mask(), v.scalar_ops};
+        batch, entry_->transcript, {.early_abort = true},
+        s.template scratch<W>());
+    return {v.detected & batch.active_mask(),
+            charged_ops(early_abort_, v.scalar_ops, batch.lanes_used(),
+                        entry_->transcript)};
   }
 
   [[nodiscard]] const core::PrtScheme& scheme() const { return scheme_; }
@@ -235,13 +253,16 @@ class MarchWorkload {
     return detected;
   }
 
+  /// Same contract as PrtWorkload::run_batch; the replay stops at the
+  /// read that latches the last pending lane.
   template <typename W>
   std::pair<W, std::uint64_t> run_batch(ShardState&,
                                         mem::PackedFaultRamT<W>& batch) const {
-    const march::MarchRunOptions run{.early_abort = early_abort_};
-    const march::MarchPackedVerdictT<W> v =
-        march::run_march_packed(batch, entry_->transcript, run);
-    return {v.detected & batch.active_mask(), v.scalar_ops};
+    const march::MarchPackedVerdictT<W> v = march::run_march_packed(
+        batch, entry_->transcript, {.early_abort = true});
+    return {v.detected & batch.active_mask(),
+            charged_ops(early_abort_, v.scalar_ops, batch.lanes_used(),
+                        entry_->transcript)};
   }
 
   [[nodiscard]] const march::MarchTest& test() const { return test_; }

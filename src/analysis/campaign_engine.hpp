@@ -62,6 +62,10 @@ struct EngineOptions {
   /// detected mask saturates, with op accounting still bit-identical
   /// to the scalar early-abort path (core/prt_packed).  Keep off when
   /// the campaign's read/write counts must reflect complete runs.
+  /// Packed batches stop once every lane has latched either way (fault
+  /// dropping, DESIGN.md §16): off, they still charge the complete
+  /// scheme per lane, so this option changes only the op accounting,
+  /// not how long the packed replay runs.
   bool early_abort = false;
   /// Evaluate lane-compatible faults (single-bit SAF/TF/WDF, the
   /// read-logic kinds, the two-cell CFin/CFid/CFst/bridge kinds, the

@@ -489,6 +489,7 @@ struct CampaignService::Impl {
   std::atomic<std::uint64_t> packed_faults{0};
   std::atomic<std::uint64_t> scalar_faults{0};
   std::atomic<std::uint64_t> wide_faults{0};
+  std::atomic<std::uint64_t> replayed_ops{0};
   std::atomic<std::uint64_t> shard_retries{0};
   std::atomic<std::uint64_t> shard_stalls{0};
   std::atomic<std::uint64_t> checkpoint_writes{0};
@@ -667,6 +668,7 @@ struct CampaignService::Impl {
     packed_faults += out.result.packed_faults;
     scalar_faults += out.result.scalar_faults;
     wide_faults += out.result.sched.wide_faults;
+    replayed_ops += out.result.sched.replayed_ops;
     switch (out.status) {
       case RequestStatus::kComplete:
         ++completed;
@@ -1052,6 +1054,7 @@ CampaignService::Stats CampaignService::stats() const {
   s.packed_faults = impl_->packed_faults.load();
   s.scalar_faults = impl_->scalar_faults.load();
   s.wide_faults = impl_->wide_faults.load();
+  s.replayed_ops = impl_->replayed_ops.load();
   s.checkpoint_writes = impl_->checkpoint_writes.load();
   s.checkpoint_failures = impl_->checkpoint_failures.load();
   s.checkpoint_salvaged = impl_->checkpoint_salvaged.load();

@@ -232,6 +232,11 @@ class CampaignService {
     std::uint64_t packed_faults = 0;
     std::uint64_t scalar_faults = 0;
     std::uint64_t wide_faults = 0;
+    /// Packed accesses the lane batches actually performed
+    /// (CampaignResult::sched.replayed_ops; shards restored from a
+    /// checkpoint add 0).  Against each batch's full transcript cost it
+    /// shows how much replay fault dropping saved.
+    std::uint64_t replayed_ops = 0;
     std::uint64_t checkpoint_writes = 0;
     std::uint64_t checkpoint_failures = 0;
     /// Resume loads that had to salvage a torn/corrupt checkpoint.

@@ -1,9 +1,10 @@
 // Internal shard-loop scaffolding under the generic campaign driver
-// (campaign_driver.hpp): per-fault tallying, the 64-lane batching loop
-// with its escape re-sort, and the pool fan-out with the
-// order-deterministic merge.  Keeping every campaign type on one copy
-// of this machinery is what keeps their bit-identical-to-serial
-// guarantees in lockstep — fix it here, all paths get it.
+// (campaign_driver.hpp): per-fault tallying, the lane-batching loop
+// (64, 256 or 512 lanes per batch) with its escape re-sort, and the
+// pool fan-out with the order-deterministic merge.  Keeping every
+// campaign type on one copy of this machinery is what keeps their
+// bit-identical-to-serial guarantees in lockstep — fix it here, all
+// paths get it.
 //
 // Header is internal to analysis/ (included via campaign_driver.hpp
 // by the campaign .cpp files only); the public surfaces are
@@ -85,6 +86,7 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
     out.packed_faults += lanes;
     if constexpr (mem::is_wide_lane_word_v<W>) out.sched.wide_faults += lanes;
     out.sched.max_lanes = std::max(out.sched.max_lanes, kLanes);
+    out.sched.replayed_ops += packed.ops();
     for (unsigned lane = 0; lane < lanes; ++lane) {
       tally_fault(out, universe, batch_index[lane],
                   mem::lane_test(detected, lane));

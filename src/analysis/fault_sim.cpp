@@ -42,6 +42,7 @@ CampaignResult merge_results(std::span<const CampaignResult> shards) {
     merged.sched.batches += shard.sched.batches;
     merged.sched.steals += shard.sched.steals;
     merged.sched.wide_faults += shard.sched.wide_faults;
+    merged.sched.replayed_ops += shard.sched.replayed_ops;
     merged.sched.max_lanes = std::max(merged.sched.max_lanes,
                                       shard.sched.max_lanes);
     merged.escapes.insert(merged.escapes.end(), shard.escapes.begin(),

@@ -54,6 +54,12 @@ struct SchedTelemetry {
   /// Widest lane word any batch of the run used (64 when packing never
   /// went wide; 0 when nothing ran packed).
   unsigned max_lanes = 0;
+  /// Packed accesses the lane batches actually performed
+  /// (mem::PackedFaultRamT::ops() summed over every flushed batch).  A
+  /// batch stops replaying once all its lanes have latched, so this
+  /// sits below (batches x the transcript's total_ops()) whenever
+  /// dropping fires; 0 when nothing ran packed.
+  std::uint64_t replayed_ops = 0;
 };
 
 struct CampaignResult {

@@ -59,6 +59,9 @@ struct MarchEngineOptions {
   /// abort-aware scalar reference cost.  Composes with `packed`: lanes
   /// retire as their mismatch latches, with per-lane op accounting
   /// bit-identical to the scalar abort path (march/march_runner).
+  /// Packed batches stop at the read that latches their last lane
+  /// either way (fault dropping, DESIGN.md §16); off, they charge the
+  /// complete test per lane — only the op accounting changes.
   bool early_abort = false;
   /// Lane width of the packed sweeps: 64, 256, 512, or 0 for
   /// mem::default_lane_width() (512).  Same contract as

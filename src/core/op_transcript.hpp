@@ -22,7 +22,7 @@
 //    campaigns' differential reference and the rare-escape fallback
 //    (e.g. degenerate CFst trigger states);
 //  * core::run_prt_packed (prt_packed.hpp) replays it against a
-//    64-lane mem::PackedFaultRam;
+//    mem::PackedFaultRamT of 64, 256 or 512 lanes;
 //  * march::run_march_packed (march/march_runner.hpp) replays a March
 //    transcript compiled by march::make_march_transcript.
 //

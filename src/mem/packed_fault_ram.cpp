@@ -98,6 +98,7 @@ void PackedFaultRamT<W>::reset() {
   has_af_ = false;
   has_npsf_ = false;
   has_drf_ = false;
+  has_sof_ = false;
   last_read_.fill(W{});
   reads_ = 0;
   writes_ = 0;
@@ -193,6 +194,7 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       break;
     case FaultKind::kSof:
       slot_for(vic).sof |= mask;
+      has_sof_ = true;
       break;
     case FaultKind::kCfIn:
       slot_for(agg).cfin |= mask;
@@ -360,7 +362,9 @@ void PackedFaultRamT<W>::read_word(Addr cell, W* out) {
   }
   // The sense-amp history updates with the whole returned word, after
   // every plane's patches (FaultyRam stores last_read_ once per read).
-  for (unsigned p = 0; p < width_; ++p) last_read_[p] = out[p];
+  if (has_sof_) {
+    for (unsigned p = 0; p < width_; ++p) last_read_[p] = out[p];
+  }
 }
 
 template <typename W>

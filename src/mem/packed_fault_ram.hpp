@@ -82,6 +82,11 @@ class PackedFaultRamT {
   using Word = W;
   static constexpr unsigned kLanes = LaneTraits<W>::kLanes;
   static constexpr unsigned kMaxWidth = 32;
+  // A decoder lane registers one slot per bit plane, so a full batch
+  // can need kLanes * kMaxWidth slots; slot_of_site_ indexes them as
+  // int16_t and must not overflow when the lane word grows.
+  static_assert(kLanes * kMaxWidth <= INT16_MAX,
+                "slot_of_site_ (int16_t) cannot index every slot");
 
   /// A packed array of `cells` `width`-bit cells, all lanes
   /// zero-filled, no faults.  Throws std::invalid_argument when cells
@@ -110,7 +115,10 @@ class PackedFaultRamT {
   /// when the fault is not lane_compatible() for this width, a
   /// referenced cell is out of range, a two-cell fault has aggressor
   /// == victim, or a retention fault has delay == 0;
-  /// std::length_error when all kLanes lanes are taken.
+  /// std::length_error when all kLanes lanes are taken.  The sense-amp
+  /// history is only kept while a lane holds a stuck-open (SOF) fault,
+  /// so add SOF faults before the first read (the campaign loops add
+  /// every fault right after reset()).
   unsigned add_fault(const Fault& fault);
 
   /// Reads every lane's bit of cell `addr` at once, applying each
@@ -295,8 +303,13 @@ class PackedFaultRamT {
   /// Same gates for the NPSF re-check and the retention clock math.
   bool has_npsf_ = false;
   bool has_drf_ = false;
+  /// True once any lane holds a stuck-open fault — only those lanes
+  /// read the sense-amp history back, so batches without one skip the
+  /// per-read store into last_read_.
+  bool has_sof_ = false;
   /// Packed sense-amp history (port 0), one word per bit plane — the
-  /// lane analogue of FaultyRam's per-port last_read_ word.
+  /// lane analogue of FaultyRam's per-port last_read_ word.  Only
+  /// maintained while has_sof_.
   std::array<W, kMaxWidth> last_read_{};
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
@@ -351,7 +364,7 @@ inline W PackedFaultRamT<W>::read(Addr addr) {
   } else {
     value = data_[addr];
   }
-  last_read_[0] = value;
+  if (has_sof_) last_read_[0] = value;
   return value;
 }
 

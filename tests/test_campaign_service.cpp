@@ -174,6 +174,28 @@ TEST(CampaignService, DefaultOptionsRunWideLanes) {
   EXPECT_GT(service.stats().wide_faults, 0u);
 }
 
+// A full-run request drops lane batches once every lane has latched;
+// the service rolls the packed accesses actually performed into its stats.
+TEST(CampaignService, StatsRollUpReplayedOps) {
+  const mem::Addr n = 256;
+  CampaignRequest req = prt_request(n);
+  ASSERT_FALSE(req.early_abort);
+  CampaignService service({.threads = 4});
+  const RequestOutcome& out = service.submit(std::move(req)).wait();
+  ASSERT_EQ(out.status, RequestStatus::kComplete);
+  const std::uint64_t replayed = service.stats().replayed_ops;
+  EXPECT_GT(replayed, 0u);
+  EXPECT_EQ(replayed, out.result.sched.replayed_ops);
+  // Every fault is detected, so dropping must save replay: the accesses
+  // performed stay below one full transcript per flushed batch.
+  ASSERT_TRUE(out.result.escapes.empty());
+  const std::uint64_t full_ops = out.result.ops / out.result.overall.total;
+  const std::uint64_t lanes = out.result.sched.max_lanes;
+  const std::uint64_t min_batches =
+      (out.result.packed_faults + lanes - 1) / lanes;
+  EXPECT_LT(replayed, min_batches * full_ops);
+}
+
 // --- admission / validation -----------------------------------------
 
 TEST(CampaignService, MalformedRequestsFailFast) {

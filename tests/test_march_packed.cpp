@@ -376,5 +376,69 @@ TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
   }
 }
 
+// --- fault dropping on full runs -----------------------------------------
+
+// Full-run March campaigns stop a lane batch at the read that latches
+// its last pending lane: results stay bit-identical to the scalar
+// reference and the 64-lane run, and the packed accesses performed
+// (sched.replayed_ops) fall below replaying every batch to the end.
+TEST(MarchFaultDropping, FullRunDropsLatchedBatches) {
+  const mem::Addr n = 256;
+  const auto universe = mem::classical_universe(n);
+  const auto test = march::march_c_minus();
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  analysis::MarchEngineOptions scalar;
+  scalar.packed = false;
+  const auto reference =
+      analysis::run_march_campaign(universe, test, opt, scalar);
+  ASSERT_EQ(reference.overall.total, universe.size());
+  // A full scalar run charges the complete test per fault.
+  const std::uint64_t full_ops = reference.ops / reference.overall.total;
+  analysis::MarchEngineOptions narrow;
+  narrow.threads = 1;
+  narrow.lane_width = 64;
+  const auto width64 =
+      analysis::run_march_campaign(universe, test, opt, narrow);
+  expect_identical(reference, width64);
+  for (const unsigned threads : {1u, 4u}) {
+    analysis::MarchEngineOptions eng;
+    eng.threads = threads;
+    const auto got = analysis::run_march_campaign(universe, test, opt, eng);
+    expect_identical(reference, got);
+    EXPECT_TRUE(got == width64) << "threads=" << threads;
+    ASSERT_EQ(got.packed_faults, universe.size());
+    const std::uint64_t lanes = got.sched.max_lanes;
+    const std::uint64_t min_batches = (got.packed_faults + lanes - 1) / lanes;
+    EXPECT_GT(got.sched.replayed_ops, 0u);
+    EXPECT_LT(got.sched.replayed_ops, min_batches * full_ops)
+        << "threads=" << threads;
+  }
+}
+
+// An inert lane (border-victim NPSF) never latches, so its batch runs
+// the whole test: its accesses equal one full run.
+TEST(MarchFaultDropping, BatchWithInertLaneReplaysFullTest) {
+  const mem::Addr n = 16;
+  const mem::Addr cols = 4;
+  const std::vector<mem::Fault> universe = {
+      mem::Fault::saf({1, 0}, 0),
+      mem::Fault::npsf_static({0, 0}, 0xF, 1, cols),  // row-0 victim: inert
+      mem::Fault::tf({5, 0}, true),
+  };
+  const auto test = march::march_c_minus();
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  const auto reference = serial_reference(universe, test, opt);
+  ASSERT_EQ(reference.escapes, std::vector<std::size_t>{1});
+  const std::uint64_t full_ops = reference.ops / reference.overall.total;
+  analysis::MarchEngineOptions eng;
+  eng.threads = 1;
+  const auto got = analysis::run_march_campaign(universe, test, opt, eng);
+  expect_identical(reference, got);
+  EXPECT_EQ(got.packed_faults, universe.size());
+  EXPECT_EQ(got.sched.replayed_ops, full_ops);
+}
+
 }  // namespace
 }  // namespace prt

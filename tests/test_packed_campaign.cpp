@@ -940,5 +940,74 @@ TEST(PackedCampaign, WideWidthBitIdenticalOnVanDeGoorWithAbort) {
   }
 }
 
+// --- fault dropping on full runs -----------------------------------------
+
+// Full-run campaigns stop replaying a lane batch once every lane has
+// latched.  On a universe the scheme fully detects the result must stay
+// bit-identical to the scalar reference and to the 64-lane run, while
+// the packed accesses actually performed (sched.replayed_ops) fall below
+// what replaying every batch to the end would cost.
+TEST(FaultDropping, FullRunDropsLatchedBatches) {
+  const mem::Addr n = 256;
+  const auto universe = mem::classical_universe(n);
+  const auto scheme = core::extended_scheme_bom(n);
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  analysis::EngineOptions scalar;
+  scalar.packed = false;
+  const auto reference =
+      analysis::run_prt_campaign(universe, scheme, opt, scalar);
+  ASSERT_TRUE(reference.escapes.empty());
+  ASSERT_EQ(reference.overall.total, universe.size());
+  // A full scalar run charges the complete transcript per fault.
+  const std::uint64_t full_ops = reference.ops / reference.overall.total;
+  analysis::EngineOptions narrow;
+  narrow.threads = 1;
+  narrow.lane_width = 64;
+  const auto width64 =
+      analysis::run_prt_campaign(universe, scheme, opt, narrow);
+  expect_identical(reference, width64);
+  for (const unsigned threads : {1u, 4u}) {
+    analysis::EngineOptions eng;
+    eng.threads = threads;
+    const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
+    expect_identical(reference, got);
+    EXPECT_TRUE(got == width64) << "threads=" << threads;
+    ASSERT_EQ(got.packed_faults, universe.size());
+    // At least ceil(packed / lanes) batches were flushed; undropped,
+    // each would have replayed the whole transcript.
+    const std::uint64_t lanes = got.sched.max_lanes;
+    const std::uint64_t min_batches = (got.packed_faults + lanes - 1) / lanes;
+    EXPECT_GT(got.sched.replayed_ops, 0u);
+    EXPECT_LT(got.sched.replayed_ops, min_batches * full_ops)
+        << "threads=" << threads;
+  }
+}
+
+// A batch holding a lane that never latches cannot drop: an NPSF
+// fault with a border victim registers no effect, so the batch replays
+// the whole transcript and its accesses equal one full run.
+TEST(FaultDropping, BatchWithInertLaneReplaysFullTranscript) {
+  const mem::Addr n = 16;
+  const mem::Addr cols = 4;
+  const std::vector<mem::Fault> universe = {
+      mem::Fault::saf({1, 0}, 0),
+      mem::Fault::npsf_static({0, 0}, 0xF, 1, cols),  // row-0 victim: inert
+      mem::Fault::tf({5, 0}, true),
+  };
+  const auto scheme = core::extended_scheme_bom(n);
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  const auto reference = serial_scalar_reference(universe, scheme, opt);
+  ASSERT_EQ(reference.escapes, std::vector<std::size_t>{1});
+  const std::uint64_t full_ops = reference.ops / reference.overall.total;
+  analysis::EngineOptions eng;
+  eng.threads = 1;
+  const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
+  expect_identical(reference, got);
+  EXPECT_EQ(got.packed_faults, universe.size());
+  EXPECT_EQ(got.sched.replayed_ops, full_ops);
+}
+
 }  // namespace
 }  // namespace prt
