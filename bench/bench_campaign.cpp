@@ -1,54 +1,50 @@
-// Campaign-engine micro-benchmark: the seed's serial per-fault path
-// (fresh FaultyRam + full scheme re-derivation per fault) against the
-// oracle-backed engine, its parallel fan-out, early-abort, the
-// word-packed SIMD fault lanes — now including two-cell coupling
-// lanes and per-lane early abort (DESIGN.md §7/§8) — and the packed
-// March campaign.
+// Campaign-engine micro-benchmark: the live differential reference
+// (run_campaign over run_prt / run_march on a rewound FaultyRam) and
+// the seed's serial per-fault path (fresh FaultyRam + full scheme
+// re-derivation per fault) against the product path — the packed
+// replay engines, 64 to 512 faults per sweep, with and without early
+// abort (DESIGN.md §7/§8/§15) — for PRT schemes and March tests.
 //
-// Three universe families are measured and written to
-// BENCH_campaign.json (and appended, one compact line per run, to
-// BENCH_history.jsonl — the cross-PR perf trajectory):
+// Universe families measured and written to BENCH_campaign.json (and
+// appended, one compact line per run, to BENCH_history.jsonl — the
+// cross-PR perf trajectory):
 //
 //  * the shared classical universe (SAF/TF/CFin/bridge/AF), where
-//    everything except the decoder faults now rides the packed lanes
-//    and early abort composes with packing — the headline
-//    packed_vs_parallel ratio compares the PR 1-era oracle+parallel
-//    config against the fastest packed config;
+//    every fault family rides the packed lanes;
 //  * the lane-compatible single-cell universe (SAF/TF/WDF + read
-//    logic, 9n faults, every one packable), where the packed path's
-//    64-faults-per-sweep gain is undiluted;
+//    logic, 9n faults);
 //  * a measured-scaling grid: the same lane-compatible universe over
 //    thread counts {1, 2, 4, 8} x packed lane widths {64, 512} on the
 //    work-stealing batch scheduler, every cell parity-checked — the
 //    curves CI records per run (with per-config steal counts and the
-//    widest lane word used) to show the multicore and wide-lane gains
-//    on real cores;
+//    widest lane word used);
 //  * a March campaign over the classical universe (March C-), where
 //    the same lanes drive march::run_march_packed via
-//    analysis::MarchCampaign — now with the abort-aware scalar
-//    reference and the composed parallel+packed+abort config, whose
-//    per-lane analytic op accounting must agree;
+//    analysis::MarchCampaign;
 //  * a word-oriented (WOM, m = 4) single-cell universe with the
-//    extended GF(16) scheme — the packed path now carries one bit
-//    plane per field bit and feeds back through the transcript's
-//    compiled tap matrices, so the 64-lane configs apply here too;
+//    extended GF(16) scheme — the packed path carries one bit plane
+//    per field bit and feeds back through the transcript's compiled
+//    tap matrices;
 //  * a static-NPSF grid universe, where every lane evaluates its
-//    4-cell neighbourhood trigger bit-parallel over the neighbour
-//    lane words;
+//    4-cell neighbourhood trigger bit-parallel;
 //  * a retention universe under a pause-tick scheme, where the packed
-//    lanes decay analytically from pause-boundary checkpoints instead
-//    of per-access scans;
-//  * a dual-port classical universe (ports = 2): the PRT engines
-//    drive port 0 only, so the packed lanes apply unchanged while the
-//    scalar reference models the second port's sense amp.
+//    lanes decay analytically from pause-boundary checkpoints;
+//  * a dual-port classical universe (ports = 2): the PRT engines drive
+//    port 0 only, so the packed lanes apply unchanged while the live
+//    reference models the second port's sense amp;
+//  * a multi-configuration suite sweep (CampaignSuite vs sequential
+//    engines).
 //
-// Every configuration of a section runs the same universe slice and is
-// parity-checked against the section's first configuration (abort
-// configs additionally against each other's op counts), so the ratios
-// stay apples-to-apples and a model divergence aborts the bench.  Each
-// section also reports packed_fraction — the share of faults the
-// fastest dispatch routed onto the packed lane path; with universal
-// packing this is 1.0 for every universe family the bench runs, and
+// Every section but the suite sweep anchors its parity on the live
+// reference (the suite checks its grid against per-point engines; see
+// bench_suite): each configuration runs the same universe slice and
+// must reproduce the reference's verdicts, per-class counts, escapes
+// and ops, and every early-abort configuration must reproduce the
+// early-abort live reference's shrunk op count (the packed per-lane
+// analytic accounting), so a model divergence aborts the bench.  Each section
+// also reports packed_fraction — the share of faults the most-packed
+// configuration routed onto the lanes; with universal packing this is
+// 1.0 for every universe family the bench runs, and
 // scripts/check_bench_baseline.py --packed-full enforces exactly that.
 //
 // Flags: --quick caps every universe for smoke runs; --threads N pins
@@ -140,6 +136,43 @@ analysis::CampaignResult seed_serial_campaign(
   return result;
 }
 
+/// The live differential reference for a PRT scheme: run_campaign over
+/// run_prt with the scheme's oracle on one rewound FaultyRam.
+/// early_abort stops each fault's run at its first failing iteration,
+/// so ops count only what that run issued — the figure the packed
+/// per-lane abort accounting must reproduce.
+analysis::CampaignResult live_prt_campaign(
+    std::span<const mem::Fault> universe, const core::PrtScheme& scheme,
+    const analysis::CampaignOptions& opt, bool early_abort) {
+  const core::PrtOracle oracle = core::make_prt_oracle(scheme, opt.n);
+  return analysis::run_campaign(
+      universe,
+      [&](mem::Memory& memory) {
+        return core::run_prt(memory, scheme, oracle,
+                             {.early_abort = early_abort,
+                              .record_iterations = false})
+            .detected();
+      },
+      opt);
+}
+
+/// The live differential reference for a March test: run_campaign over
+/// run_march_backgrounds (stopping at the first mismatching read under
+/// early_abort).
+analysis::CampaignResult live_march_campaign(
+    std::span<const mem::Fault> universe, const march::MarchTest& test,
+    const analysis::CampaignOptions& opt, bool early_abort) {
+  return analysis::run_campaign(
+      universe,
+      [&](mem::Memory& memory) {
+        return march::run_march_backgrounds(
+                   test, memory, march::standard_backgrounds(memory.width()),
+                   {.early_abort = early_abort})
+            .fail;
+      },
+      opt);
+}
+
 /// Caps a universe by stride-sampling so the fault-family mix of the
 /// full universe is preserved — a plain resize() would keep only the
 /// leading single-cell faults and silently turn a mixed section into
@@ -174,20 +207,12 @@ struct SectionReport {
   mem::Addr n = 0;
   std::size_t faults = 0;
   std::vector<ConfigTiming> configs;
-  /// Headline lane-packing gain: the "oracle+parallel"-style config's
-  /// time over the *fastest* packed config's time (abort now composes
-  /// with packing, so the composed config counts); 0 when the section
-  /// has no such pair.
-  double packed_vs_parallel = 0;
-  /// Same ratio restricted to the full-run packed config (no abort) —
-  /// the PR 2-comparable number.
-  double packed_vs_parallel_full_run = 0;
   /// Suite sections only: wall clock of the sequential per-point
   /// engines (each compiling its own golden artifacts, the pre-suite
   /// sweep cost) over the one CampaignSuite call; 0 elsewhere.
   double suite_vs_sequential = 0;
-  /// Share of this section's faults that rode a 64-lane packed batch
-  /// in the most-packed configuration (max over configs of
+  /// Share of this section's faults that rode a packed lane batch in
+  /// the most-packed configuration (max over configs of
   /// packed_faults / total).  1.0 means zero scalar fallbacks.
   double packed_fraction = 0;
   [[nodiscard]] double speedup_vs_baseline(std::size_t idx) const {
@@ -217,6 +242,8 @@ class SectionRunner {
     if (report_.configs.empty()) {
       reference_ = r;
     } else {
+      // The dispatch tallies differ by design (the live reference runs
+      // every fault per fault), so only verdicts and ops are compared.
       parity = r.overall == reference_.overall &&
                r.by_class == reference_.by_class &&
                r.escapes == reference_.escapes &&
@@ -224,8 +251,8 @@ class SectionRunner {
     }
     if (ops_exempt) {
       // All abort configs of a section must agree on the shrunk op
-      // count — the packed per-lane accounting reproduces the scalar
-      // abort path exactly.
+      // count — the packed per-lane accounting reproduces the live
+      // abort reference exactly.
       if (abort_ops_ == 0) {
         abort_ops_ = r.ops;
       } else if (r.ops != abort_ops_) {
@@ -253,32 +280,10 @@ class SectionRunner {
   }
 
   void finish() {
-    double parallel_secs = 0, packed_secs = 0, packed_abort_secs = 0;
     for (std::size_t i = 0; i < report_.configs.size(); ++i) {
-      const std::string& name = report_.configs[i].name;
-      std::printf("  %-30s %.2fx vs %s\n", name.c_str(),
+      std::printf("  %-30s %.2fx vs %s\n", report_.configs[i].name.c_str(),
                   report_.speedup_vs_baseline(i),
                   report_.configs[0].name.c_str());
-      if (name == "oracle+parallel" || name == "parallel") {
-        parallel_secs = report_.configs[i].seconds;
-      } else if (name == "oracle+parallel+packed" ||
-                 name == "parallel+packed") {
-        packed_secs = report_.configs[i].seconds;
-      } else if (name == "oracle+parallel+packed+abort" ||
-                 name == "parallel+packed+abort") {
-        packed_abort_secs = report_.configs[i].seconds;
-      }
-    }
-    if (parallel_secs > 0 && packed_secs > 0) {
-      report_.packed_vs_parallel_full_run = parallel_secs / packed_secs;
-      double best = packed_secs;
-      if (packed_abort_secs > 0 && packed_abort_secs < best) {
-        best = packed_abort_secs;
-      }
-      report_.packed_vs_parallel = parallel_secs / best;
-      std::printf("  packed vs parallel: %.2fx (full-run %.2fx)\n",
-                  report_.packed_vs_parallel,
-                  report_.packed_vs_parallel_full_run);
     }
     std::printf("\n");
   }
@@ -291,19 +296,25 @@ class SectionRunner {
   std::uint64_t abort_ops_ = 0;
 };
 
-analysis::EngineOptions engine_opts(bool parallel, bool packed,
-                                    bool early_abort = false) {
-  analysis::EngineOptions eng;
-  eng.parallel = parallel;
-  eng.packed = packed;
-  eng.early_abort = early_abort;
-  return eng;
+/// Records a PRT section's reference rungs: the live reference first
+/// (the section's parity anchor), then its early-abort twin (the
+/// anchor for every abort config's op count).
+void record_live_prt(SectionRunner& run, std::span<const mem::Fault> universe,
+                     const core::PrtScheme& scheme,
+                     const analysis::CampaignOptions& opt) {
+  run.record("live reference (run_campaign)", [&] {
+    return live_prt_campaign(universe, scheme, opt, /*early_abort=*/false);
+  });
+  run.record(
+      "live reference+abort (run_campaign)",
+      [&] { return live_prt_campaign(universe, scheme, opt, true); },
+      /*ops_exempt=*/true);
 }
 
-/// Classical universe: the PR 1 ladder (seed serial -> oracle ->
-/// parallel -> abort) plus the packed configs.  Every fault family of
-/// this universe — coupling, bridges and the decoder kinds included —
-/// now rides the lanes, and packed+abort is the composed fast path.
+/// Classical universe: the live reference and the seed path against
+/// the packed engine.  Every fault family of this universe — coupling,
+/// bridges and the decoder kinds included — rides the lanes, and
+/// packed+abort is the composed fast path.
 SectionReport bench_classical(mem::Addr n, std::size_t fault_cap) {
   const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
   const auto scheme = core::extended_scheme_bom(n);
@@ -323,20 +334,17 @@ SectionReport bench_classical(mem::Addr n, std::size_t fault_cap) {
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
+  record_live_prt(run, universe, scheme, opt);
   run.record("serial (seed path)",
              [&] { return seed_serial_campaign(universe, scheme, opt); });
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle+parallel+packed", {});
+  engine("oracle+parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
 
 /// Lane-compatible universe: every fault is packable, so the packed
-/// config shows the undiluted 64-faults-per-sweep gain over the PR 1
-/// oracle+parallel path.
+/// configs show the undiluted lane gain over the live reference.
 SectionReport bench_lane_compatible(mem::Addr n, const core::PrtScheme& scheme,
                                     std::size_t fault_cap) {
   const auto universe =
@@ -358,16 +366,15 @@ SectionReport bench_lane_compatible(mem::Addr n, const core::PrtScheme& scheme,
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  record_live_prt(run, universe, scheme, opt);
+  engine("oracle+parallel+packed", {});
+  engine("oracle+parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
 
-/// March campaign over the classical universe: serial run_campaign
-/// baseline vs the sharded MarchCampaign, scalar and packed.
+/// March campaign over the classical universe: the live run_campaign
+/// reference vs the sharded, packed MarchCampaign.
 SectionReport bench_march(mem::Addr n, std::size_t fault_cap) {
   const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
   const auto test = march::march_c_minus();
@@ -381,9 +388,12 @@ SectionReport bench_march(mem::Addr n, std::size_t fault_cap) {
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
   run.record("serial (run_campaign)", [&] {
-    return analysis::run_campaign(universe, analysis::march_algorithm(test),
-                                  opt);
+    return live_march_campaign(universe, test, opt, /*early_abort=*/false);
   });
+  run.record(
+      "serial+abort (run_campaign)",
+      [&] { return live_march_campaign(universe, test, opt, true); },
+      /*ops_exempt=*/true);
   auto engine = [&](const std::string& name,
                     const analysis::MarchEngineOptions& eng) {
     run.record(
@@ -391,13 +401,11 @@ SectionReport bench_march(mem::Addr n, std::size_t fault_cap) {
         [&] { return analysis::run_march_campaign(universe, test, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("parallel", {.packed = false});
-  engine("parallel+abort", {.packed = false, .early_abort = true});
-  engine("parallel+packed", {.packed = true});
+  engine("parallel+packed", {});
   // The composed fast path: per-lane retirement with analytic op
-  // accounting that must equal the scalar abort reference above (the
+  // accounting that must equal the live abort reference above (the
   // ops_exempt cross-check enforces it at bench runtime).
-  engine("parallel+packed+abort", {.packed = true, .early_abort = true});
+  engine("parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
@@ -405,9 +413,9 @@ SectionReport bench_march(mem::Addr n, std::size_t fault_cap) {
 /// Word-oriented universe: every fault lives on one of m = 4 bit
 /// planes, the scheme runs over GF(16).  The packed lanes carry one
 /// bit plane per field bit and feed back through the transcript's
-/// compiled tap matrices, so the full packed ladder applies — the
-/// scalar abort config stays ahead of packed+abort so the ops_exempt
-/// cross-check pins the per-lane analytic accounting against it.
+/// compiled tap matrices, so the packed configs apply — the live abort
+/// reference stays ahead of packed+abort so the ops_exempt cross-check
+/// pins the per-lane analytic accounting against it.
 SectionReport bench_wom(mem::Addr n, std::size_t fault_cap) {
   const unsigned m = 4;
   const auto universe = cap_universe(
@@ -430,13 +438,11 @@ SectionReport bench_wom(mem::Addr n, std::size_t fault_cap) {
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
+  record_live_prt(run, universe, scheme, opt);
   run.record("serial (seed path)",
              [&] { return seed_serial_campaign(universe, scheme, opt); });
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle+parallel+packed", {});
+  engine("oracle+parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
@@ -472,11 +478,9 @@ SectionReport bench_npsf(mem::Addr n, mem::Addr grid_cols,
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  record_live_prt(run, universe, scheme, opt);
+  engine("oracle+parallel+packed", {});
+  engine("oracle+parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
@@ -514,19 +518,16 @@ SectionReport bench_retention(mem::Addr n, std::size_t fault_cap) {
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  record_live_prt(run, universe, scheme, opt);
+  engine("oracle+parallel+packed", {});
+  engine("oracle+parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
 
-/// Dual-port classical universe: the scalar reference simulates both
+/// Dual-port classical universe: the live reference simulates both
 /// ports' sense-amp state while the PRT engines drive port 0 only, so
-/// the packed lanes stay bit-identical (open ROADMAP item: grow the
-/// campaign bench to multi-port schemes).
+/// the packed lanes stay bit-identical.
 SectionReport bench_multiport(mem::Addr n, unsigned ports,
                               std::size_t fault_cap) {
   const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
@@ -548,13 +549,9 @@ SectionReport bench_multiport(mem::Addr n, unsigned ports,
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  // The scalar abort reference first, so the packed+abort config's
-  // per-lane analytic op accounting is cross-checked against it.
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  record_live_prt(run, universe, scheme, opt);
+  engine("oracle+parallel+packed", {});
+  engine("oracle+parallel+packed+abort", {.early_abort = true});
   run.finish();
   return report;
 }
@@ -562,11 +559,11 @@ SectionReport bench_multiport(mem::Addr n, unsigned ports,
 /// Measured multicore scaling: the same lane-compatible universe swept
 /// over thread counts {1, 2, 4, 8} x packed lane widths {64, 512} on
 /// the work-stealing batch scheduler.  Every cell is parity-checked
-/// against the first (w64/t1), so the whole grid demonstrates the
-/// tentpole determinism claim — bit-identical output at any (threads,
-/// width) — while the timings show how much of it the hardware turns
-/// into throughput (the speedup curves are only meaningful on a
-/// multi-core runner; CI's bench smoke records them per run).
+/// against the live reference, so the whole grid demonstrates the
+/// determinism claim — bit-identical output at any (threads, width) —
+/// while the timings show how much of it the hardware turns into
+/// throughput (the speedup curves are only meaningful on a multi-core
+/// runner; CI's bench smoke records them per run).
 SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
   const auto universe = cap_universe(
       mem::single_cell_universe(n, 1, /*read_logic=*/true), fault_cap);
@@ -580,13 +577,13 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
   report.n = n;
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
+  run.record("live reference (run_campaign)", [&] {
+    return live_prt_campaign(universe, scheme, opt, /*early_abort=*/false);
+  });
   for (const unsigned lane_width : {64u, 512u}) {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      analysis::EngineOptions eng;
-      eng.threads = threads;
-      eng.parallel = true;
-      eng.packed = true;
-      eng.lane_width = lane_width;
+      const analysis::EngineOptions eng{.threads = threads,
+                                        .lane_width = lane_width};
       char name[32];
       std::snprintf(name, sizeof name, "w%u/t%u", lane_width, threads);
       run.record(name, [&] {
@@ -627,7 +624,10 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
 /// universes, n {256, 1024, 4096} x ports {1, 2, 4}; the oracle and
 /// transcript depend on (scheme, n) only, so the three port points of
 /// each n share one compile).  The same nine-point grid runs three
-/// ways, every per-point result parity-checked:
+/// ways, every per-point result parity-checked against the cold
+/// engines (whose scheme, universes and n the classical sections
+/// anchor on the live reference — a live run over all nine points
+/// would cost more than a quarter of the full bench):
 ///
 ///   * "engines sequential (cold)" — one standalone engine per point,
 ///     the golden-artifact cache cleared before each, reproducing the
@@ -795,9 +795,6 @@ void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
         << r.scheme << "\"," << sp << nl << indent(3) << "\"n\": " << r.n
         << "," << sp << nl << indent(3) << "\"faults\": " << r.faults << ","
         << sp << nl << indent(3)
-        << "\"packed_vs_parallel\": " << r.packed_vs_parallel << "," << sp
-        << nl << indent(3) << "\"packed_vs_parallel_full_run\": "
-        << r.packed_vs_parallel_full_run << "," << sp << nl << indent(3)
         << "\"suite_vs_sequential\": " << r.suite_vs_sequential << "," << sp
         << nl << indent(3) << "\"packed_fraction\": " << r.packed_fraction
         << "," << sp << nl << indent(3) << "\"configs\": [" << nl;

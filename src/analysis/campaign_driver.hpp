@@ -1,25 +1,27 @@
 // The one generic campaign driver both public campaign types are
 // instances of.
 //
-// CampaignEngine (PRT schemes) and MarchCampaign (March tests) used to
-// each own a copy of the same machinery: option plumbing, oracle /
-// transcript construction, a lazily spun-up worker pool, the
-// scalar-vs-lane-batched shard loop and the packed-enabled predicate.
-// This header collapses that shape into one core:
-//
 //   CampaignDriver<Workload>  — options validation, the lazy pool, the
-//     sharded run() and the per-shard scalar/packed dispatch, written
-//     once over the campaign_shard.hpp loops;
+//     sharded run() and the per-shard width dispatch, written once
+//     over the campaign_shard.hpp loops;
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
-//     golden artifacts are fetched from the analysis::OracleCache, how
-//     one fault runs scalar, how one lane batch (64, 256 or 512 lanes)
-//     runs packed, and whether the workload is lane-packable at all.
+//     golden artifacts are fetched from the analysis::OracleCache,
+//     whether the workload is lane-packable at all, how one lane batch
+//     (64, 256 or 512 lanes) runs on the packed replay, and how one
+//     fault runs on the live reference (run_prt / run_march on a
+//     rewound FaultyRam).
+//
+// A packable workload always packs: the packed replay is the product
+// path, and run_fault serves only what cannot ride a lane — a
+// non-packable workload (word-oriented March, a scheme whose field
+// degree differs from the word width) and the lane-incompatible
+// residue (CFst trigger state > 1, a bit plane past the word width).
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
-// thin facades over a driver instance; their results are bit-identical
-// to what the pre-unification engines produced (the parity suites in
-// tests/ pin this).  CampaignSuite (campaign_suite.hpp) drives the
-// same workloads shard-by-shard on its own flattened schedule.
+// thin facades over a driver instance; the parity suites in tests/ pin
+// their results to run_campaign over the live reference.
+// CampaignSuite (campaign_suite.hpp) and CampaignService drive the
+// same workloads shard by shard on their own schedules.
 //
 // Header is internal to analysis/ (included by the campaign .cpp files
 // only); the public surfaces are campaign_engine.hpp,
@@ -45,39 +47,6 @@
 
 namespace prt::analysis::detail {
 
-/// The engine-option shape shared by every campaign type.
-/// EngineOptions / MarchEngineOptions translate into this (plus their
-/// workload-specific knobs, which live in the workload).
-struct DriverOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
-  unsigned threads = 0;
-  /// Fan the universe out over the pool.  Off = one shard, inline on
-  /// the calling thread.
-  bool parallel = true;
-  /// Batch lane-compatible faults one lane-word sweep at a time on a
-  /// bit-packed mem::PackedFaultRamT when the workload permits
-  /// (Workload::packable()).  Results stay bit-identical to the
-  /// all-scalar path.
-  bool packed = true;
-  /// Stop each fault's run at its first failure.  Verdicts, coverage
-  /// and escapes are unchanged; CampaignResult::ops shrinks to the
-  /// abort-aware scalar reference cost (packed lanes retire with
-  /// analytic per-lane op accounting).  Packed batches drop out once
-  /// every lane has latched whether or not this is set (run_batch);
-  /// it decides only what CampaignResult::ops charges for them.
-  bool early_abort = false;
-  /// Packed lane width: 64, 256, 512, or 0 for
-  /// mem::default_lane_width() (512).  Per shard the driver dispatches
-  /// the widest word the shard's fault range can fill at least half
-  /// of (512 lanes at >= 256 faults, 256 at >= 128), falling back to
-  /// 64 otherwise; every width produces bit-identical results (the
-  /// instantiations share one templated replay), so this knob moves
-  /// only throughput and sched telemetry.  Validated by the driver
-  /// constructor.
-  unsigned lane_width = 0;
-};
-
 /// Ops a packed batch charges to CampaignResult::ops.  The replay
 /// always runs in early-abort mode (the batch drops once every lane
 /// has latched), so `abort_ops` is the per-lane early-abort cost; a
@@ -90,19 +59,16 @@ struct DriverOptions {
   return early_abort ? abort_ops : std::uint64_t{lanes} * t.total_ops();
 }
 
-/// PRT-scheme workload: golden artifacts from OracleCache::prt, scalar
-/// runs over the transcript replay (GF(2)) or the live oracle path,
-/// packed batches over core::run_prt_packed.
+/// PRT-scheme workload: golden artifacts from OracleCache::prt, packed
+/// batches over core::run_prt_packed, per-fault runs over the live
+/// core::run_prt with the cached oracle.
 class PrtWorkload {
  public:
-  /// `use_oracle` off re-derives the scheme per fault like the legacy
-  /// path (bench baseline only).  Throws std::invalid_argument on
-  /// malformed `opt` (validate_campaign_options).
+  /// Throws std::invalid_argument on malformed `opt`
+  /// (validate_campaign_options).
   PrtWorkload(core::PrtScheme scheme, const CampaignOptions& opt,
-              bool early_abort, bool use_oracle, OracleCache& cache)
-      : scheme_(std::move(scheme)),
-        early_abort_(early_abort),
-        use_oracle_(use_oracle) {
+              bool early_abort, OracleCache& cache)
+      : scheme_(std::move(scheme)), early_abort_(early_abort) {
     validate_campaign_options(opt);
     entry_ = cache.prt(scheme_, opt.n);
     // Lane batching needs the campaign word width to equal the
@@ -134,33 +100,26 @@ class PrtWorkload {
     }
   };
 
-  /// Lane batching permitted: oracle-backed runs whose word width
-  /// matches the scheme's field degree (GF(2) and GF(2^m) alike).
-  [[nodiscard]] bool packable() const { return use_oracle_ && packable_; }
+  /// Lane batching permitted: the campaign word width matches the
+  /// scheme's field degree (GF(2) and GF(2^m) alike).
+  [[nodiscard]] bool packable() const { return packable_; }
 
-  /// Runs one fault scalar; returns detected, charges its ops.
+  /// Runs one fault on the live reference; returns detected, charges
+  /// its ops.
   bool run_fault(ShardState& s, const mem::Fault& fault,
                  std::uint64_t& ops) const {
     s.ram.reset(fault);
-    const core::PrtRunOptions run{.early_abort = early_abort_,
-                                  .record_iterations = false};
-    // Oracle-backed packable runs replay the compiled transcript (no
-    // oracle indirection, FaultyRam devirtualized); other
-    // configurations keep the live paths.
     const bool detected =
-        use_oracle_ && packable_
-            ? core::run_prt_transcript(s.ram, entry_->transcript, run)
-                  .detected()
-        : use_oracle_
-            ? core::run_prt(s.ram, scheme_, entry_->oracle, run).detected()
-            : core::run_prt(s.ram, scheme_).detected();
+        core::run_prt(s.ram, scheme_, entry_->oracle,
+                      {.early_abort = early_abort_, .record_iterations = false})
+            .detected();
     ops += s.ram.total_stats().total();
     return detected;
   }
 
   /// Runs one flushed lane batch at the batch's width; returns
   /// {detected lane word, ops to charge for the whole batch} — per
-  /// lane exactly what the scalar path would have charged for that
+  /// lane exactly what the live reference would have charged for that
   /// fault (charged_ops).  The replay drops the batch once every
   /// active lane has latched; the latch is monotone, so the detected
   /// mask is that of a full replay.
@@ -185,12 +144,12 @@ class PrtWorkload {
   core::PrtScheme scheme_;
   std::shared_ptr<const OracleCache::PrtEntry> entry_;
   bool early_abort_;
-  bool use_oracle_;
   bool packable_ = false;
 };
 
-/// March-test workload: transcript from OracleCache::march when the
-/// campaign is bit-oriented, the live background sweep otherwise.
+/// March-test workload: packed batches over the transcript from
+/// OracleCache::march when the campaign is bit-oriented, per-fault
+/// runs over the live background sweep.
 class MarchWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt` and on March
@@ -237,18 +196,14 @@ class MarchWorkload {
 
   [[nodiscard]] bool packable() const { return bit_oriented_; }
 
+  /// Same contract as PrtWorkload::run_fault.
   bool run_fault(ShardState& s, const mem::Fault& fault,
                  std::uint64_t& ops) const {
     s.ram.reset(fault);
-    const march::MarchRunOptions run{.early_abort = early_abort_};
-    // m = 1 replays the compiled transcript (devirtualized FaultyRam,
-    // no element/op re-derivation); wider words sweep the live
-    // background set.
-    const bool detected =
-        bit_oriented_
-            ? march::run_march_transcript(s.ram, entry_->transcript, run).fail
-            : march::run_march_backgrounds(test_, s.ram, backgrounds_, run)
-                  .fail;
+    const bool detected = march::run_march_backgrounds(
+                              test_, s.ram, backgrounds_,
+                              {.early_abort = early_abort_})
+                              .fail;
     ops += s.ram.total_stats().total();
     return detected;
   }
@@ -277,41 +232,35 @@ class MarchWorkload {
 };
 
 /// The generic driver: validated options, lazy pool, sharded fan-out
-/// with the order-deterministic merge, per-shard scalar/packed
-/// dispatch.  Workload supplies the four campaign-type-specific hooks
+/// with the order-deterministic merge, per-shard width dispatch.
+/// Workload supplies the four campaign-type-specific hooks
 /// (ShardState, packable, run_fault, run_batch).
 template <typename Workload>
 class CampaignDriver {
  public:
-  /// Throws std::invalid_argument when drv.lane_width is not one of
-  /// {0, 64, 256, 512} — before any worker or memory is constructed,
-  /// like validate_campaign_options.
+  /// Throws std::invalid_argument when engine.lane_width is not one
+  /// of {0, 64, 256, 512} — before any worker or memory is
+  /// constructed, like validate_campaign_options.
   CampaignDriver(Workload workload, const CampaignOptions& opt,
-                 const DriverOptions& drv)
-      : workload_(std::move(workload)), opt_(opt), drv_(drv) {
-    if (drv.lane_width != 0 && drv.lane_width != 64 &&
-        drv.lane_width != 256 && drv.lane_width != 512) {
+                 const EngineOptions& engine)
+      : workload_(std::move(workload)), opt_(opt), engine_(engine) {
+    if (engine.lane_width != 0 && engine.lane_width != 64 &&
+        engine.lane_width != 256 && engine.lane_width != 512) {
       throw std::invalid_argument(
           "CampaignDriver: lane_width must be 0, 64, 256 or 512, got " +
-          std::to_string(drv.lane_width));
+          std::to_string(engine.lane_width));
     }
   }
 
   CampaignDriver(const CampaignDriver&) = delete;
   CampaignDriver& operator=(const CampaignDriver&) = delete;
 
-  /// True when runs may route lane-compatible faults through the
-  /// packed path (workload + options both allow it).
-  [[nodiscard]] bool packed_enabled() const {
-    return drv_.packed && workload_.packable();
-  }
-
   /// The lane width runs request: the explicit option, else
   /// mem::default_lane_width().  Shards still fall back to 64 when
   /// their fault range cannot fill half the wide lanes (run_shard).
   [[nodiscard]] unsigned effective_lane_width() const {
-    return drv_.lane_width != 0 ? drv_.lane_width
-                                : mem::default_lane_width();
+    return engine_.lane_width != 0 ? engine_.lane_width
+                                   : mem::default_lane_width();
   }
 
   /// Fills one shard over universe indices [begin, end).  Stateless
@@ -331,7 +280,7 @@ class CampaignDriver {
   bool run_shard(std::span<const mem::Fault> universe, std::size_t begin,
                  std::size_t end, CampaignResult& out,
                  const util::StopToken& stop = {}) const {
-    if (packed_enabled()) {
+    if (workload_.packable()) {
       const std::size_t range = end - begin;
       const unsigned width = effective_lane_width();
       if (width >= 512 && range >= 256) {
@@ -365,7 +314,7 @@ class CampaignDriver {
       std::span<const mem::Fault> universe,
       const util::StopToken& stop) const {
     const unsigned workers =
-        drv_.threads != 0 ? drv_.threads : util::default_worker_count();
+        engine_.threads != 0 ? engine_.threads : util::default_worker_count();
     // Steal-queue batch = 4 lane sweeps at the requested width: big
     // enough that per-batch ShardState construction amortizes, small
     // enough (vs universe/workers chunks) that idle workers find
@@ -376,7 +325,7 @@ class CampaignDriver {
     const std::size_t batch =
         static_cast<std::size_t>(effective_lane_width()) * 4;
     return run_sharded(
-        universe.size(), workers, drv_.parallel, batch, pool_,
+        universe.size(), workers, batch, pool_,
         [&](std::size_t begin, std::size_t end, CampaignResult& out) {
           return run_shard(universe, begin, end, out, stop);
         },
@@ -385,7 +334,6 @@ class CampaignDriver {
 
   [[nodiscard]] const Workload& workload() const { return workload_; }
   [[nodiscard]] const CampaignOptions& options() const { return opt_; }
-  [[nodiscard]] const DriverOptions& driver_options() const { return drv_; }
 
  private:
   /// The width-concrete shard loop behind run_shard's dispatch.
@@ -394,23 +342,23 @@ class CampaignDriver {
                       std::size_t end, CampaignResult& out,
                       const util::StopToken& stop) const {
     typename Workload::ShardState state(opt_);
-    auto run_scalar = [&](std::size_t i) {
+    auto run_fault = [&](std::size_t i) {
       return workload_.run_fault(state, universe[i], out.ops);
     };
-    if (!packed_enabled()) {
-      return scalar_shard(universe, begin, end, out, run_scalar, stop);
+    if (!workload_.packable()) {
+      return per_fault_shard(universe, begin, end, out, run_fault, stop);
     }
     mem::PackedFaultRamT<W> packed(opt_.n, opt_.m);
     auto run_batch = [&](mem::PackedFaultRamT<W>& batch) {
       return workload_.run_batch(state, batch);
     };
     return lane_batched_shard(universe, begin, end, packed, out, run_batch,
-                              run_scalar, stop);
+                              run_fault, stop);
   }
 
   Workload workload_;
   CampaignOptions opt_;
-  DriverOptions drv_;
+  EngineOptions engine_;
   /// Worker pool, spun up on the first parallel run() and reused —
   /// repeated campaigns pay thread spawn/join once, not per call.
   mutable std::unique_ptr<util::ThreadPool> pool_;
@@ -420,43 +368,25 @@ using PrtDriver = CampaignDriver<PrtWorkload>;
 using MarchDriver = CampaignDriver<MarchWorkload>;
 
 /// The one construction path every public campaign surface goes
-/// through (CampaignEngine, MarchCampaign, CampaignSuite): translate
-/// the public option struct, build the workload against the shared
-/// cache, wrap it in a driver.
-[[nodiscard]] inline DriverOptions to_driver_options(
-    const EngineOptions& engine) {
-  return {.threads = engine.threads,
-          .parallel = engine.parallel,
-          .packed = engine.packed,
-          .early_abort = engine.early_abort,
-          .lane_width = engine.lane_width};
-}
-
-[[nodiscard]] inline DriverOptions to_driver_options(
-    const MarchEngineOptions& engine) {
-  return {.threads = engine.threads,
-          .parallel = engine.parallel,
-          .packed = engine.packed,
-          .early_abort = engine.early_abort,
-          .lane_width = engine.lane_width};
-}
-
+/// through (CampaignEngine, MarchCampaign, CampaignSuite,
+/// CampaignService): build the workload against the shared cache, wrap
+/// it in a driver.
 [[nodiscard]] inline std::unique_ptr<PrtDriver> make_driver(
     core::PrtScheme scheme, const CampaignOptions& opt,
     const EngineOptions& engine) {
   return std::make_unique<PrtDriver>(
       PrtWorkload(std::move(scheme), opt, engine.early_abort,
-                  engine.use_oracle, OracleCache::global()),
-      opt, to_driver_options(engine));
+                  OracleCache::global()),
+      opt, engine);
 }
 
 [[nodiscard]] inline std::unique_ptr<MarchDriver> make_driver(
     march::MarchTest test, const CampaignOptions& opt,
-    const MarchEngineOptions& engine) {
+    const EngineOptions& engine) {
   return std::make_unique<MarchDriver>(
       MarchWorkload(std::move(test), opt, engine.early_abort,
                     OracleCache::global()),
-      opt, to_driver_options(engine));
+      opt, engine);
 }
 
 }  // namespace prt::analysis::detail

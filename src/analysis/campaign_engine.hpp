@@ -2,12 +2,13 @@
 // PRT schemes.
 //
 // run_campaign (fault_sim.hpp) evaluates an arbitrary TestAlgorithm
-// serially; this engine is the fast path for the common case where the
-// algorithm is a PRT scheme.  Since PR 5 it is a thin facade over the
-// generic analysis::CampaignDriver (campaign_driver.hpp) instantiated
-// with the PRT workload — MarchCampaign is the same driver with the
-// March workload, and CampaignSuite fans one request over a grid of
-// configurations on the same machinery:
+// serially on the live reference; this engine is the fast path for the
+// common case where the algorithm is a PRT scheme.  It is a thin
+// facade over the generic analysis::CampaignDriver
+// (campaign_driver.hpp) instantiated with the PRT workload —
+// MarchCampaign is the same driver with the March workload, and
+// CampaignSuite fans one request over a grid of configurations on the
+// same machinery:
 //
 //  * everything a scheme derives from its own structure — trajectory
 //    permutations, golden LFSR sequences, expected images, Fin*
@@ -15,17 +16,18 @@
 //    OpTranscript — is fetched from the process-wide, thread-safe
 //    analysis::OracleCache, built exactly once per (scheme, n) and
 //    shared read-only by every fault, every worker and every engine;
-//  * the fault universe is sharded over a worker pool in contiguous
-//    index ranges and merged in shard order, so the output is
-//    bit-identical to the serial reference at any thread count;
-//  * each worker owns one FaultyRam and rewinds it with reset(fault) —
-//    no allocation, no LFSR re-derivation in the per-fault loop;
-//  * for GF(2) bit-oriented campaigns every hot loop is a tight replay
-//    of the cached transcript: the scalar fallback runs
-//    core::run_prt_transcript (devirtualized FaultyRam) and
-//    lane-compatible faults are batched 64 per sweep onto a bit-packed
-//    mem::PackedFaultRam via run_prt_packed, with early abort
-//    composing through per-lane mismatch retirement.
+//  * the fault universe is sharded over a worker pool in fixed-size
+//    batches and merged in batch order, so the output is bit-identical
+//    to the serial reference at any thread count;
+//  * whenever the campaign word width equals the scheme's field degree
+//    (GF(2) and GF(2^m) alike) the product path is the packed replay:
+//    lane-compatible faults ride 64, 256 or 512 lanes per sweep of the
+//    cached transcript through core::run_prt_packed, with early abort
+//    composing through per-lane mismatch retirement;
+//  * everything else — non-packable schemes and the lane-incompatible
+//    residue (e.g. degenerate CFst trigger states) — runs per fault on
+//    the live reference, core::run_prt over the cached oracle on a
+//    rewound FaultyRam.
 //
 // See DESIGN.md §7/§8/§9/§10 and bench/bench_campaign.cpp.
 #pragma once
@@ -43,55 +45,6 @@ class PrtWorkload;
 template <typename Workload>
 class CampaignDriver;
 }  // namespace detail
-
-struct EngineOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
-  unsigned threads = 0;
-  /// Fan the universe out over the pool.  Off = one shard, inline on
-  /// the calling thread (still oracle-backed and allocation-free).
-  bool parallel = true;
-  /// Reuse the precomputed PrtOracle per fault.  Turning this off
-  /// re-derives the scheme per fault like the legacy path — only
-  /// useful as a bench baseline.
-  bool use_oracle = true;
-  /// Stop each fault's run at the first failing iteration.  Verdicts
-  /// (and therefore coverage numbers and escapes) are unchanged;
-  /// CampaignResult::ops shrinks.  Composes with `packed`: packed
-  /// batches retire lanes as their mismatch latches and stop when the
-  /// detected mask saturates, with op accounting still bit-identical
-  /// to the scalar early-abort path (core/prt_packed).  Keep off when
-  /// the campaign's read/write counts must reflect complete runs.
-  /// Packed batches stop once every lane has latched either way (fault
-  /// dropping, DESIGN.md §16): off, they still charge the complete
-  /// scheme per lane, so this option changes only the op accounting,
-  /// not how long the packed replay runs.
-  bool early_abort = false;
-  /// Evaluate lane-compatible faults (single-bit SAF/TF/WDF, the
-  /// read-logic kinds, the two-cell CFin/CFid/CFst/bridge kinds, the
-  /// decoder kinds, static NPSF neighbourhoods and retention faults)
-  /// 64 per sweep on a bit-packed mem::PackedFaultRam
-  /// (core/prt_packed).  Applies whenever the campaign word width
-  /// equals the scheme's field degree — GF(2) bit-oriented and
-  /// GF(2^m) word-oriented schemes alike (the word path rides m bit
-  /// planes per cell).  Results stay bit-identical to the all-scalar
-  /// reference; the rare residue (e.g. degenerate CFst trigger
-  /// states, victim bits beyond the word width) falls back per fault.
-  /// Ignored (everything scalar) when the scheme is not packable or
-  /// use_oracle is off.
-  bool packed = true;
-  /// Lane width of the packed sweeps: 64 (one std::uint64_t lane
-  /// word), 256 or 512 (mem::WideWord lanes), or 0 for
-  /// mem::default_lane_width(), which is 512.  Per shard the driver
-  /// runs 512 lanes at >= 256 faults, 256 at >= 128, else 64.  The
-  /// replay's cost is per transcript record, so wide sweeps pay: a
-  /// 4-worker n = 8192 classical campaign runs ~3x faster at 512 lanes
-  /// than at 64 (mem::default_lane_width has the numbers).  Verdicts,
-  /// coverage, escapes and op accounting are bit-identical at every
-  /// width — only throughput and the CampaignResult::sched telemetry
-  /// change.
-  unsigned lane_width = 0;
-};
 
 class CampaignEngine {
  public:

@@ -63,7 +63,9 @@ std::string request_fingerprint(const CampaignRequest& req) {
   f.mix(req.options.n);
   f.mix(req.options.m);
   f.mix(req.options.ports);
-  f.mix(req.packed ? 1 : 0);
+  // Requests once carried a packing switch here (always 1 by default);
+  // the constant keeps the fingerprints of existing checkpoints.
+  f.mix(1);
   f.mix(req.early_abort ? 1 : 0);
   f.mix(req.universe.size());
   for (const mem::Fault& fault : req.universe) {
@@ -203,7 +205,11 @@ bool parse_shard_record(const std::string& payload, CheckpointShard& s) {
     unsigned cls = 0;
     ClassCoverage cov;
     if (!(in >> cls >> cov.detected >> cov.total)) return false;
-    s.result.by_class[static_cast<mem::FaultClass>(cls)] = cov;
+    if (cls > static_cast<unsigned>(mem::FaultClass::kRetention)) return false;
+    if (!s.result.by_class.emplace(static_cast<mem::FaultClass>(cls), cov)
+             .second) {
+      return false;  // duplicate class id
+    }
   }
   if (!(in >> word) || word != "escapes") return false;
   std::size_t escapes = 0;
@@ -223,6 +229,38 @@ bool parse_shard_record(const std::string& payload, CheckpointShard& s) {
     if (in >> word) return false;  // trailing junk
   }
   return true;
+}
+
+/// True when a parsed record can be the result of shard [begin, end)
+/// of `universe`: the per-class and overall tallies are exactly those
+/// the range's fault classes and the record's escapes imply, and the
+/// escapes ascend strictly inside the range.  The CRC only proves a
+/// record is the one that was written; this proves it fits the shard
+/// it claims, so a hand-edited record with a recomputed CRC is
+/// recomputed instead of merged.  (ops cannot be re-derived without
+/// running the shard and stays trusted.)
+bool shard_record_consistent(const CampaignResult& r,
+                             std::span<const mem::Fault> universe,
+                             std::size_t begin, std::size_t end) {
+  std::map<mem::FaultClass, ClassCoverage> by_class;
+  for (std::size_t i = begin; i < end; ++i) {
+    ClassCoverage& cls = by_class[mem::fault_class(universe[i].kind)];
+    ++cls.total;
+    ++cls.detected;
+  }
+  for (std::size_t k = 0; k < r.escapes.size(); ++k) {
+    const std::size_t e = r.escapes[k];
+    if (e < begin || e >= end || (k > 0 && e <= r.escapes[k - 1])) {
+      return false;
+    }
+    --by_class[mem::fault_class(universe[e].kind)].detected;
+  }
+  const std::uint64_t total = end - begin;
+  const ClassCoverage overall{.detected = total - r.escapes.size(),
+                              .total = total};
+  const std::uint64_t dispatched = r.packed_faults + r.scalar_faults;
+  return r.overall == overall && r.by_class == by_class &&
+         (dispatched == total || dispatched == 0);
 }
 
 /// Result of reading a checkpoint file for resume.
@@ -837,12 +875,9 @@ struct CampaignService::Impl {
         if (resolved) release();
         return;
       }
+      const EngineOptions engine{.threads = 1,
+                                 .early_abort = req.early_abort};
       if (req.scheme) {
-        const EngineOptions engine{.threads = 1,
-                                   .parallel = false,
-                                   .use_oracle = true,
-                                   .early_abort = req.early_abort,
-                                   .packed = req.packed};
         std::shared_ptr<detail::PrtDriver> driver =
             detail::make_driver(*req.scheme, req.options, engine);
         r->run_shard = [driver = std::move(driver)](
@@ -852,10 +887,6 @@ struct CampaignService::Impl {
           return driver->run_shard(universe, begin, end, out, stop);
         };
       } else {
-        const MarchEngineOptions engine{.threads = 1,
-                                        .parallel = false,
-                                        .packed = req.packed,
-                                        .early_abort = req.early_abort};
         std::shared_ptr<detail::MarchDriver> driver =
             detail::make_driver(*req.march_test, req.options, engine);
         r->run_shard = [driver = std::move(driver)](
@@ -870,9 +901,10 @@ struct CampaignService::Impl {
       std::size_t shard_count =
           req.shards != 0 ? req.shards : pool.workers();
       std::optional<Checkpoint> cp;
+      bool salvaged = false;
       if (req.resume) {
         CheckpointLoad loaded = load_checkpoint(req.checkpoint_path);
-        if (loaded.salvaged) ++checkpoint_salvaged;
+        salvaged = loaded.salvaged;
         cp = std::move(loaded.checkpoint);
         if (cp) {
           if (cp->fingerprint != r->fingerprint) {
@@ -915,12 +947,20 @@ struct CampaignService::Impl {
                                      std::to_string(s.index) + "): " +
                                      req.checkpoint_path);
           }
+          const auto [begin, end] = r->ranges[s.index];
+          if (!shard_record_consistent(s.result, req.universe, begin, end)) {
+            // CRC-valid but not a result of this shard: recompute it.
+            salvaged = true;
+            continue;
+          }
           r->results[s.index] = std::move(s.result);
           r->done[s.index] = 1;
+          ++r->resumed_count;
         }
-        r->done_count = r->resumed_count = cp->shards.size();
-        shards_resumed += cp->shards.size();
+        r->done_count = r->resumed_count;
+        shards_resumed += r->resumed_count;
       }
+      if (salvaged) ++checkpoint_salvaged;
 
       std::vector<std::size_t> pending;
       for (std::size_t s = 0; s < r->ranges.size(); ++s) {

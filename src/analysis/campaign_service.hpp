@@ -35,9 +35,11 @@
 //    itself — adopts the recorded partition, and its final result is
 //    bit-identical to an uninterrupted run.  A torn or corrupted
 //    checkpoint is *salvaged*: the longest CRC-valid record prefix is
-//    adopted and the rest recomputed (counted in
-//    stats().checkpoint_salvaged); only a genuine fingerprint mismatch
-//    hard-fails the request;
+//    kept, every kept record is re-checked against its shard's range
+//    of the universe (a CRC-valid record whose tallies or escapes
+//    cannot belong to that range is dropped), and the rest is
+//    recomputed (counted in stats().checkpoint_salvaged); only a
+//    genuine fingerprint mismatch hard-fails the request;
 //  * a shard task that throws is retried up to `max_retries` times;
 //    exhaustion fails that request (kFailed, error preserved) and
 //    winds down its remaining shards without touching other requests
@@ -132,8 +134,7 @@ struct CampaignRequest {
   std::optional<core::PrtScheme> scheme;
   std::optional<march::MarchTest> march_test;
   CampaignOptions options;
-  /// Engine knobs, same semantics as EngineOptions/MarchEngineOptions.
-  bool packed = true;
+  /// Same semantics as EngineOptions::early_abort.
   bool early_abort = false;
   std::vector<mem::Fault> universe;
   /// Admission class; see RequestPriority.
@@ -239,7 +240,8 @@ class CampaignService {
     std::uint64_t replayed_ops = 0;
     std::uint64_t checkpoint_writes = 0;
     std::uint64_t checkpoint_failures = 0;
-    /// Resume loads that had to salvage a torn/corrupt checkpoint.
+    /// Resume loads that had to salvage a torn/corrupt checkpoint or
+  /// drop a record inconsistent with its shard.
     std::uint64_t checkpoint_salvaged = 0;
     std::uint64_t shards_resumed = 0;
     /// Current queue depths / running window occupancy.

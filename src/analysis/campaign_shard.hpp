@@ -1,7 +1,9 @@
 // Internal shard-loop scaffolding under the generic campaign driver
-// (campaign_driver.hpp): per-fault tallying, the lane-batching loop
-// (64, 256 or 512 lanes per batch) with its escape re-sort, and the
-// pool fan-out with the order-deterministic merge.  Keeping every
+// (campaign_driver.hpp): per-fault tallying, the per-fault loop of
+// non-packable workloads, the lane-batching loop (64, 256 or 512 lanes
+// per batch, lane-incompatible faults on the live reference in place)
+// with its escape re-sort, and the pool fan-out with the
+// order-deterministic merge.  Keeping every
 // campaign type on one copy of this machinery is what keeps their
 // bit-identical-to-serial guarantees in lockstep — fix it here, all
 // paths get it.
@@ -41,19 +43,19 @@ inline void tally_fault(CampaignResult& out,
   }
 }
 
-/// All-scalar shard loop: run_scalar(i) -> detected, charging its own
-/// ops to `out`.  Polls `stop` per fault; returns false (shard
-/// abandoned — `out` is partial and must be discarded) once a stop is
-/// observed, true when the shard ran to completion.  A
-/// default-constructed token never stops, so the poll is one null
-/// check on the non-cancellable paths.
-template <typename RunScalar>
-bool scalar_shard(std::span<const mem::Fault> universe, std::size_t begin,
-                  std::size_t end, CampaignResult& out,
-                  RunScalar&& run_scalar, const util::StopToken& stop = {}) {
+/// Per-fault shard loop for non-packable workloads: run_fault(i) ->
+/// detected, charging its own ops to `out`.  Polls `stop` per fault;
+/// returns false (shard abandoned — `out` is partial and must be
+/// discarded) once a stop is observed, true when the shard ran to
+/// completion.  A default-constructed token never stops, so the poll
+/// is one null check on the non-cancellable paths.
+template <typename RunFault>
+bool per_fault_shard(std::span<const mem::Fault> universe, std::size_t begin,
+                     std::size_t end, CampaignResult& out,
+                     RunFault&& run_fault, const util::StopToken& stop = {}) {
   for (std::size_t i = begin; i < end; ++i) {
     if (stop.stop_requested()) return false;
-    tally_fault(out, universe, i, run_scalar(i));
+    tally_fault(out, universe, i, run_fault(i));
     ++out.scalar_faults;
   }
   return true;
@@ -61,20 +63,21 @@ bool scalar_shard(std::span<const mem::Fault> universe, std::size_t begin,
 
 /// Lane-batched shard loop: compatible faults ride the packed ram
 /// kLanes at a time (64 for the LaneWord instantiation, 256/512 for
-/// the wide words), the rest run scalar in place.  run_batch(packed)
-/// runs one flushed batch and returns {detected lane word, ops to
-/// charge for the whole batch}; run_scalar(i) -> detected as above.
-/// Escapes are gathered out of order and sorted once — counts and op
-/// sums are order-independent, so the shard output is bit-identical to
-/// the all-scalar loop *and* to itself at any other lane width (the
-/// per-lane verdicts are width-invariant; only the sched telemetry
-/// records which width ran).  Polls `stop` per fault, same contract as
-/// scalar_shard (false = shard abandoned, discard `out`).
-template <typename W, typename RunBatch, typename RunScalar>
+/// the wide words), the residue runs per fault in place.
+/// run_batch(packed) runs one flushed batch and returns {detected lane
+/// word, ops to charge for the whole batch}; run_fault(i) -> detected
+/// as above.  Escapes are gathered out of order and sorted once —
+/// counts and op sums are order-independent, so the shard output is
+/// bit-identical to the per-fault live reference *and* to itself at
+/// any other lane width (the per-lane verdicts are width-invariant;
+/// only the sched telemetry records which width ran).  Polls `stop`
+/// per fault, same contract as per_fault_shard (false = shard
+/// abandoned, discard `out`).
+template <typename W, typename RunBatch, typename RunFault>
 bool lane_batched_shard(std::span<const mem::Fault> universe,
                         std::size_t begin, std::size_t end,
                         mem::PackedFaultRamT<W>& packed, CampaignResult& out,
-                        RunBatch&& run_batch, RunScalar&& run_scalar,
+                        RunBatch&& run_batch, RunFault&& run_fault,
                         const util::StopToken& stop = {}) {
   constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
   std::array<std::size_t, kLanes> batch_index{};
@@ -99,7 +102,7 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
       batch_index[packed.add_fault(universe[i])] = i;
       if (packed.lanes_used() == kLanes) flush();
     } else {
-      tally_fault(out, universe, i, run_scalar(i));
+      tally_fault(out, universe, i, run_fault(i));
       ++out.scalar_faults;
     }
   }
@@ -112,8 +115,8 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
 /// [0, universe_size) into fixed-size batches of `batch_size` faults,
 /// fans them out over `pool` (created lazily, `workers` wide) with the
 /// work-stealing scheduler (util::ThreadPool::parallel_for_batches),
-/// and merges per-batch results in batch-index order.  Falls back to
-/// one inline shard when parallelism is off or pointless.
+/// and merges per-batch results in batch-index order.  One worker (or
+/// a universe of fewer than two faults) runs one inline shard instead.
 /// run_shard(begin, end, out) -> bool fills one shard (false = the
 /// shard observed `stop` and abandoned; its partial output is
 /// discarded).  Shards that completed before the stop still count:
@@ -128,12 +131,12 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
 /// steals from the pool's counters), which equality ignores.
 template <typename RunShard>
 CampaignOutcome run_sharded(std::size_t universe_size, unsigned workers,
-                            bool parallel, std::size_t batch_size,
+                            std::size_t batch_size,
                             std::unique_ptr<util::ThreadPool>& pool,
                             RunShard&& run_shard,
                             const util::StopToken& stop = {}) {
   CampaignOutcome out;
-  if (!parallel || workers == 1 || universe_size < 2) {
+  if (workers == 1 || universe_size < 2) {
     out.shards_total = 1;
     CampaignResult result;
     if (run_shard(std::size_t{0}, universe_size, result)) {

@@ -50,18 +50,10 @@ struct CampaignSuite::Impl {
   // Exactly one of the two workload kinds is set.
   SchemeFactory factory;
   std::optional<march::MarchTest> march_test;
-  EngineOptions prt_engine;
-  MarchEngineOptions march_engine;
+  EngineOptions engine;
   /// The one pool every configuration's shards flatten onto; spun up
-  /// on the first parallel run() and reused across runs.
+  /// on the first multi-worker run() and reused across runs.
   mutable std::unique_ptr<util::ThreadPool> pool;
-
-  [[nodiscard]] unsigned threads() const {
-    return march_test ? march_engine.threads : prt_engine.threads;
-  }
-  [[nodiscard]] bool parallel() const {
-    return march_test ? march_engine.parallel : prt_engine.parallel;
-  }
 
   /// Generates the universe and builds the driver for one
   /// configuration — through the same detail::make_driver path the
@@ -71,13 +63,13 @@ struct CampaignSuite::Impl {
                                  const UniverseGenerator& universe) const {
     if (march_test) {
       std::shared_ptr<detail::MarchDriver> driver =
-          detail::make_driver(*march_test, opt, march_engine);
+          detail::make_driver(*march_test, opt, engine);
       std::string name = march_test->name;
       return prepared_from(std::move(driver), universe(opt, index),
                            std::move(name));
     }
     std::shared_ptr<detail::PrtDriver> driver =
-        detail::make_driver(factory(opt), opt, prt_engine);
+        detail::make_driver(factory(opt), opt, engine);
     std::string name = driver->workload().name();
     return prepared_from(std::move(driver), universe(opt, index),
                          std::move(name));
@@ -88,14 +80,14 @@ CampaignSuite::CampaignSuite(SchemeFactory factory,
                              const EngineOptions& engine)
     : impl_(std::make_unique<Impl>()) {
   impl_->factory = std::move(factory);
-  impl_->prt_engine = engine;
+  impl_->engine = engine;
 }
 
 CampaignSuite::CampaignSuite(march::MarchTest test,
                              const MarchEngineOptions& engine)
     : impl_(std::make_unique<Impl>()) {
   impl_->march_test = std::move(test);
-  impl_->march_engine = engine;
+  impl_->engine = engine;
 }
 
 CampaignSuite::~CampaignSuite() = default;
@@ -129,10 +121,10 @@ SuiteResult CampaignSuite::run(std::span<const CampaignOptions> configs,
   std::vector<std::vector<unsigned char>> done(count);
   std::vector<unsigned char> generated(count, 0);
 
-  const unsigned workers = impl_->threads() != 0
-                               ? impl_->threads()
+  const unsigned workers = impl_->engine.threads != 0
+                               ? impl_->engine.threads
                                : util::default_worker_count();
-  if (!impl_->parallel() || workers == 1) {
+  if (workers == 1) {
     for (std::size_t c = 0; c < count; ++c) {
       if (stop.stop_requested()) break;
       prepared[c] = impl_->prepare(configs[c], c, universe);

@@ -105,6 +105,32 @@ struct CampaignOptions {
   // down the "previous value" seen by first-write transitions).
 };
 
+/// Execution knobs of the campaign engines (CampaignEngine,
+/// MarchCampaign, CampaignSuite; MarchEngineOptions is an alias).  A
+/// workload that can pack always rides the packed replay; none of
+/// these fields changes a verdict, a coverage number or an escape.
+struct EngineOptions {
+  /// Worker count; 0 defers to the PRT_THREADS environment override,
+  /// then the hardware concurrency (util::default_worker_count).  One
+  /// worker runs the universe as a single shard on the calling thread.
+  unsigned threads = 0;
+  /// Stop each fault's run at its first failure.  CampaignResult::ops
+  /// shrinks to the abort-aware cost of the live reference (run_prt /
+  /// run_march with early_abort), which packed lanes reproduce with
+  /// analytic per-lane accounting.  Packed batches stop once every
+  /// lane has latched either way (fault dropping, DESIGN.md §16); off,
+  /// they still charge the complete test per lane, so this option
+  /// changes only the op accounting.
+  bool early_abort = false;
+  /// Packed lane width: 64, 256, 512, or 0 for
+  /// mem::default_lane_width() (512).  Per shard the driver runs 512
+  /// lanes at >= 256 faults, 256 at >= 128, else 64; results are
+  /// bit-identical at every width, only throughput and the
+  /// CampaignResult::sched telemetry change.  Other values throw
+  /// std::invalid_argument at engine construction.
+  unsigned lane_width = 0;
+};
+
 /// How a stoppable campaign run ended.  kComplete means every shard
 /// ran to completion — even if a stop arrived after the last shard
 /// finished, the result covers the whole universe and is bit-identical

@@ -2,7 +2,7 @@
 //
 // run_campaign (fault_sim.hpp) evaluates march_algorithm serially, one
 // FaultyRam run per fault; this campaign is the fast path for March
-// coverage tables.  Since PR 5 it is a thin facade over the generic
+// coverage tables.  It is a thin facade over the generic
 // analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
 // March workload — the same driver, pool, shard loops and
 // order-deterministic merge CampaignEngine runs on:
@@ -11,18 +11,18 @@
 //    compiled once per (test, n, background) into a flat
 //    core::OpTranscript, cached in the process-wide
 //    analysis::OracleCache and shared by every campaign over the same
-//    test; lane-compatible faults (decoder kinds included) are batched
-//    64 per sweep through the transcript march::run_march_packed, the
-//    remaining (retention, NPSF) faults run the scalar
-//    march::run_march_transcript (devirtualized FaultyRam), and the
-//    merged CampaignResult — coverage, per-class counts, escapes and
-//    op totals — is bit-identical to run_campaign(universe,
+//    test; lane-compatible faults (every standard family, decoder,
+//    NPSF and retention kinds included) ride 64, 256 or 512 lanes per
+//    sweep through march::run_march_packed, and the merged
+//    CampaignResult — coverage, per-class counts, escapes and op
+//    totals — is bit-identical to run_campaign(universe,
 //    march_algorithm(test), opt).  Early abort composes with packing:
 //    lanes retire at their first mismatching read with analytic
-//    per-lane op accounting identical to the abort-aware scalar
+//    per-lane op accounting identical to the abort-aware live
 //    run_march reference;
-//  * word-oriented (m > 1) campaigns run entirely scalar over the
-//    standard data backgrounds, still sharded over the pool.
+//  * word-oriented (m > 1) campaigns and the lane-incompatible residue
+//    run per fault on the live reference, march::run_march_backgrounds
+//    over the standard data backgrounds, still sharded over the pool.
 //
 // See DESIGN.md §8/§9/§10 and bench/bench_campaign.cpp's March
 // section.
@@ -42,33 +42,8 @@ template <typename Workload>
 class CampaignDriver;
 }  // namespace detail
 
-struct MarchEngineOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
-  unsigned threads = 0;
-  /// Fan the universe out over the pool.  Off = one shard, inline on
-  /// the calling thread.
-  bool parallel = true;
-  /// Batch lane-compatible faults 64 per March sweep on a bit-packed
-  /// mem::PackedFaultRam when m = 1.  Results stay bit-identical to
-  /// the all-scalar reference.
-  bool packed = true;
-  /// Stop each fault's run at its first mismatching read (and skip the
-  /// remaining backgrounds after a failing run).  Verdicts, coverage
-  /// and escapes are unchanged; CampaignResult::ops shrinks to the
-  /// abort-aware scalar reference cost.  Composes with `packed`: lanes
-  /// retire as their mismatch latches, with per-lane op accounting
-  /// bit-identical to the scalar abort path (march/march_runner).
-  /// Packed batches stop at the read that latches their last lane
-  /// either way (fault dropping, DESIGN.md §16); off, they charge the
-  /// complete test per lane — only the op accounting changes.
-  bool early_abort = false;
-  /// Lane width of the packed sweeps: 64, 256, 512, or 0 for
-  /// mem::default_lane_width() (512).  Same contract as
-  /// EngineOptions::lane_width — per shard 512 lanes at >= 256 faults,
-  /// 256 at >= 128, else 64; bit-identical results at every width.
-  unsigned lane_width = 0;
-};
+/// March campaigns take the shared engine knobs (fault_sim.hpp).
+using MarchEngineOptions = EngineOptions;
 
 class MarchCampaign {
  public:

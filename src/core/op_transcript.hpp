@@ -14,32 +14,25 @@
 // analytic).  The replay loops then stream through contiguous records
 // with no oracle indirection and no per-op dispatch:
 //
-//  * run_prt_transcript (below, a template so the memory type
-//    devirtualizes) replays the scheme against any mem::Memory with a
-//    detection verdict and op accounting identical to
-//    run_prt(memory, scheme, oracle, options) — every fault family
-//    rides the packed lanes now, so this scalar replay serves as the
-//    campaigns' differential reference and the rare-escape fallback
-//    (e.g. degenerate CFst trigger states);
 //  * core::run_prt_packed (prt_packed.hpp) replays it against a
 //    mem::PackedFaultRamT of 64, 256 or 512 lanes;
 //  * march::run_march_packed (march/march_runner.hpp) replays a March
 //    transcript compiled by march::make_march_transcript.
 //
-// Campaigns build one transcript next to their memoized oracles
-// (analysis::CampaignEngine / analysis::MarchCampaign) and share it
-// read-only across workers; it is immutable after construction.
-// Bit-identical results to the live paths are enforced by the parity
-// suites (tests/test_op_transcript.cpp op-for-op, plus the campaign
-// parity tests).  See DESIGN.md §9.
+// The packed replays are the campaigns' only product path; the live
+// run_prt / run_march on a FaultyRam stay the one differential
+// reference.  Campaigns fetch one transcript next to the memoized
+// oracle (analysis::OracleCache) and share it read-only across
+// workers; it is immutable after construction.  Bit-identity to the
+// live runs is enforced by the parity suites
+// (tests/test_op_transcript.cpp walks the records op for op against a
+// recording memory, plus the campaign parity tests).  See DESIGN.md §9.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "core/prt_engine.hpp"
-#include "lfsr/misr.hpp"
 
 namespace prt::core {
 
@@ -79,14 +72,14 @@ struct PrtIterSpan {
   /// matrix: tap_rows[j * m + r] is the mask of input bit planes XORed
   /// into output plane r (row r of gf::multiplier_matrix(field,
   /// g[k - j])).  The packed word replay applies it lane-parallel
-  /// (plane XORs), the scalar replay via per-row parity.
+  /// (plane XORs).
   std::vector<std::uint32_t> tap_rows;
   /// Golden MISR signature over this iteration's read stream (sweep
   /// windows, Fin read-back, Init re-read); 0 when MISR is disabled.
   std::uint64_t misr_expected = 0;
   /// Idle ticks between the sweep and the verify pass.
   std::uint64_t pause_ticks = 0;
-  /// Reads/writes a scalar single-port run has issued once this
+  /// Reads/writes a live single-port run has issued once this
   /// iteration completes (cumulative over iterations) — the abort-op
   /// prefix sums: a fault whose first failing iteration is this one
   /// costs exactly ops_end under early abort.
@@ -125,7 +118,7 @@ struct OpTranscript {
   // --- March side ---
   std::vector<MarchSegment> march;
   std::uint64_t delay_ticks = 0;
-  /// Reads + writes of one complete scalar replay (the non-abort
+  /// Reads + writes of one complete live run (the non-abort
   /// per-fault op cost).
   std::uint64_t total_reads = 0;
   std::uint64_t total_writes = 0;
@@ -141,88 +134,5 @@ struct OpTranscript {
 /// iteration's k <= 64 (the fb_mask width).
 [[nodiscard]] OpTranscript make_op_transcript(const PrtScheme& scheme,
                                               const PrtOracle& oracle);
-
-/// Scalar transcript replay: issues the exact operation stream of
-/// run_prt(memory, scheme, oracle, {.early_abort, .record_iterations =
-/// false}) against any memory and returns an identical verdict
-/// (detected(), reads, writes — with early_abort, complete iterations
-/// up to and including the first failing one).  A template so the
-/// concrete memory type's read/write devirtualize in the campaign hot
-/// loop.
-template <typename MemoryT>
-[[nodiscard]] PrtVerdict run_prt_transcript(MemoryT& memory,
-                                            const OpTranscript& t,
-                                            const PrtRunOptions& options = {}) {
-  PrtVerdict verdict;
-  const mem::Addr n = t.n;
-  const bool use_misr = t.misr_poly != 0;
-  lfsr::Misr misr(use_misr ? t.misr_poly : gf::Poly2{0b111});
-  for (const PrtIterSpan& it : t.iterations) {
-    const OpRec* traj = t.recs.data() + it.traj_begin;
-    const unsigned kk = it.k;
-    bool fail = false;
-    misr.reset();
-
-    // Initialization: seed writes.
-    for (unsigned j = 0; j < kk; ++j) {
-      memory.write(traj[j].addr, traj[j].golden, 0);
-    }
-    // Sweep: k-wide read windows, feedback write selected by fb_mask.
-    // GF(2) taps XOR the read straight in; GF(2^m) taps apply the
-    // constant-multiplier bit matrix row by row (parity per output
-    // plane) — exactly WordLfsr::feedback's sum of g[k - j] * read.
-    for (mem::Addr q = 0; q + kk < n; ++q) {
-      mem::Word fb = 0;
-      for (unsigned j = 0; j < kk; ++j) {
-        const mem::Word raw = memory.read(traj[q + j].addr, 0);
-        if (use_misr) misr.shift(raw);
-        if ((it.fb_mask >> j) & 1U) {
-          if (it.tap_rows.empty()) {
-            fb ^= raw;
-          } else {
-            const std::uint32_t* rows =
-                it.tap_rows.data() + static_cast<std::size_t>(j) * t.width;
-            mem::Word prod = 0;
-            for (unsigned r = 0; r < t.width; ++r) {
-              prod |= static_cast<mem::Word>(
-                          static_cast<unsigned>(std::popcount(rows[r] & raw)) &
-                          1U)
-                      << r;
-            }
-            fb ^= prod;
-          }
-        }
-      }
-      memory.write(traj[q + kk].addr, fb, 0);
-    }
-    // Fin read-back against Fin*, Init re-read against the seed.
-    for (unsigned j = 0; j < kk; ++j) {
-      const mem::Word raw = memory.read(traj[n - kk + j].addr, 0);
-      if (use_misr) misr.shift(raw);
-      fail |= raw != traj[n - kk + j].golden;
-    }
-    for (unsigned j = 0; j < kk; ++j) {
-      const mem::Word raw = memory.read(traj[j].addr, 0);
-      if (use_misr) misr.shift(raw);
-      fail |= raw != traj[j].golden;
-    }
-    // Verify pass: every cell against the fault-free image.
-    if (it.has_verify) {
-      if (it.pause_ticks != 0) memory.advance_time(it.pause_ticks);
-      const OpRec* img = t.recs.data() + it.verify_begin;
-      for (mem::Addr a = 0; a < n; ++a) {
-        fail |= memory.read(img[a].addr, 0) != img[a].golden;
-      }
-    }
-    verdict.pass = verdict.pass && !fail;
-    if (use_misr && misr.state() != it.misr_expected) {
-      verdict.misr_pass = false;
-    }
-    verdict.reads = it.reads_end;
-    verdict.writes = it.writes_end;
-    if (options.early_abort && verdict.detected()) break;
-  }
-  return verdict;
-}
 
 }  // namespace prt::core

@@ -12,7 +12,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
+#include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
 #include "util/thread_pool.hpp"
 
@@ -73,19 +75,6 @@ TEST(CampaignEngine, ReusedEngineGivesIdenticalResultsAcrossRuns) {
   for (int round = 0; round < 3; ++round) {
     expect_identical(first, engine.run(universe));
   }
-}
-
-TEST(CampaignEngine, OracleAndNonOraclePathsAgree) {
-  const mem::Addr n = 24;
-  const auto universe = mem::classical_universe(n);
-  const auto scheme = core::standard_scheme_bom(n);
-  CampaignOptions opt;
-  opt.n = n;
-  EngineOptions with_oracle;
-  EngineOptions without_oracle;
-  without_oracle.use_oracle = false;
-  expect_identical(run_prt_campaign(universe, scheme, opt, with_oracle),
-                   run_prt_campaign(universe, scheme, opt, without_oracle));
 }
 
 TEST(CampaignEngine, EarlyAbortKeepsVerdictsAndCutsOps) {
@@ -195,21 +184,29 @@ TEST(PrtAlgorithmPrefix, RejectsOutOfRangeIterationCounts) {
 TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
   // inject()'s std::invalid_argument contract must survive the
   // parallel fan-out (worker exceptions are rethrown on the caller,
-  // not left to std::terminate) and the packed lane path.
+  // not left to std::terminate), the packed lane path, the per-fault
+  // path of a non-packable workload (word-oriented March) and the
+  // serial live reference.
   const mem::Addr n = 16;
   auto universe = mem::classical_universe(n);
   universe.push_back(mem::Fault::saf({n + 10, 0}, 1));  // out of range
   const auto scheme = core::standard_scheme_bom(n);
   CampaignOptions opt;
   opt.n = n;
-  for (bool packed : {false, true}) {
-    for (unsigned threads : {1u, 3u}) {
-      EngineOptions eng;
-      eng.threads = threads;
-      eng.packed = packed;
-      EXPECT_THROW((void)run_prt_campaign(universe, scheme, opt, eng),
-                   std::invalid_argument);
-    }
+  EXPECT_THROW((void)run_campaign(universe, prt_algorithm(scheme), opt),
+               std::invalid_argument);
+  CampaignOptions word_opt = opt;
+  word_opt.m = 2;
+  auto word_universe = mem::single_cell_universe(n, 2, /*read_logic=*/true);
+  word_universe.push_back(mem::Fault::saf({n + 10, 1}, 1));
+  for (unsigned threads : {1u, 3u}) {
+    EngineOptions eng;
+    eng.threads = threads;
+    EXPECT_THROW((void)run_prt_campaign(universe, scheme, opt, eng),
+                 std::invalid_argument);
+    EXPECT_THROW((void)run_march_campaign(word_universe, march::march_c_minus(),
+                                          word_opt, eng),
+                 std::invalid_argument);
   }
 }
 

@@ -2,8 +2,9 @@
 // complete runs bit-identical to the synchronous engines, cooperative
 // cancellation / deadlines with exact partial results, shard-granular
 // checkpoint/resume whose resumed results are bit-identical to
-// uninterrupted runs (interrupting at *every* cadence point, PRT and
-// March, packed and scalar, 1 and 4 threads), per-class priority
+// uninterrupted runs (interrupting at *every* cadence point, packed PRT
+// and March plus a non-packable word-oriented March workload on the
+// per-fault path, 1 and 4 threads), per-class priority
 // admission with bounded queues and deadline-aware load shedding, the
 // shard stall watchdog, bounded shard retry with request isolation,
 // and the oracle cache's poisoned-entry eviction plus budgeted LRU —
@@ -68,6 +69,16 @@ CampaignRequest march_request(mem::Addr n) {
   return req;
 }
 
+/// Word-oriented (m = 2) March request: not packable, so every fault
+/// runs on the per-fault live reference path.
+CampaignRequest word_march_request(mem::Addr n) {
+  CampaignRequest req;
+  req.march_test = march::march_c_minus();
+  req.options = {.n = n, .m = 2};
+  req.universe = mem::single_cell_universe(n, 2, /*read_logic=*/true);
+  return req;
+}
+
 // --- complete runs --------------------------------------------------
 
 TEST(CampaignService, PrtCompleteBitIdenticalToEngine) {
@@ -124,14 +135,13 @@ TEST(CampaignService, EmptyUniverseCompletesEmpty) {
 
 // Dispatch tallies roll up across resolved requests: a packed run of a
 // fully lane-compatible universe tallies every fault as packed, a
-// scalar run tallies every fault as scalar, and the service stats sum
-// both.
+// non-packable (word-oriented March) run tallies every fault as
+// per-fault, and the service stats sum both.
 TEST(CampaignService, StatsRollUpDispatchTallies) {
   const mem::Addr n = 32;
   CampaignService service;
   CampaignRequest packed_req = prt_request(n);
   const std::uint64_t total = packed_req.universe.size();
-  packed_req.packed = true;
   const RequestOutcome& packed_out =
       service.submit(std::move(packed_req)).wait();
   ASSERT_EQ(packed_out.status, RequestStatus::kComplete);
@@ -142,17 +152,16 @@ TEST(CampaignService, StatsRollUpDispatchTallies) {
     EXPECT_EQ(stats.packed_faults, total);
     EXPECT_EQ(stats.scalar_faults, 0u);
   }
-  CampaignRequest scalar_req = prt_request(n);
-  scalar_req.packed = false;
-  const RequestOutcome& scalar_out =
-      service.submit(std::move(scalar_req)).wait();
-  ASSERT_EQ(scalar_out.status, RequestStatus::kComplete);
-  EXPECT_EQ(scalar_out.result.packed_faults, 0u);
-  EXPECT_EQ(scalar_out.result.scalar_faults, total);
+  CampaignRequest word_req = word_march_request(n);
+  const std::uint64_t word_total = word_req.universe.size();
+  const RequestOutcome& word_out = service.submit(std::move(word_req)).wait();
+  ASSERT_EQ(word_out.status, RequestStatus::kComplete);
+  EXPECT_EQ(word_out.result.packed_faults, 0u);
+  EXPECT_EQ(word_out.result.scalar_faults, word_total);
   {
     const auto stats = service.stats();
     EXPECT_EQ(stats.packed_faults, total);
-    EXPECT_EQ(stats.scalar_faults, total);
+    EXPECT_EQ(stats.scalar_faults, word_total);
   }
 }
 
@@ -723,9 +732,10 @@ TEST(CampaignService, OracleBuildFailureFailsRequestThenRecovers) {
 
 // --- checkpoint / resume --------------------------------------------
 
+enum class Workload { kPrt, kMarch, kWordMarch };
+
 struct ResumeCase {
-  bool march = false;
-  bool packed = true;
+  Workload workload = Workload::kPrt;
   unsigned threads = 1;
 };
 
@@ -734,32 +744,33 @@ struct ResumeCase {
 /// crashing, then resume from the checkpoint and require the merged
 /// result to be bit-identical to the uninterrupted reference.
 void run_resume_matrix(const ResumeCase& c) {
-  SCOPED_TRACE(std::string(c.march ? "march" : "prt") +
-               (c.packed ? " packed" : " scalar") + " threads=" +
-               std::to_string(c.threads));
+  const char* names[] = {"prt", "march", "word_march"};
+  const std::string name = names[static_cast<int>(c.workload)];
+  SCOPED_TRACE(name + " threads=" + std::to_string(c.threads));
   const mem::Addr n = 24;
   const std::size_t kShards = 6;
   auto make_request = [&] {
-    CampaignRequest req = c.march ? march_request(n) : prt_request(n);
-    req.packed = c.packed;
+    CampaignRequest req = c.workload == Workload::kPrt ? prt_request(n)
+                          : c.workload == Workload::kMarch
+                              ? march_request(n)
+                              : word_march_request(n);
     req.shards = kShards;
     return req;
   };
   CampaignRequest ref_req = make_request();
   const CampaignResult reference =
-      c.march
+      ref_req.march_test
           ? run_march_campaign(ref_req.universe, *ref_req.march_test,
-                               ref_req.options,
-                               {.packed = c.packed})
+                               ref_req.options)
           : run_prt_campaign(ref_req.universe, *ref_req.scheme,
-                             ref_req.options, {.packed = c.packed});
+                             ref_req.options);
 
   for (std::size_t k = 0; k < kShards; ++k) {
     SCOPED_TRACE("interrupt after " + std::to_string(k) + " shards");
     FailPointScope scope;
-    const std::string path = temp_checkpoint(
-        "svc_resume_" + std::to_string(c.march) + std::to_string(c.packed) +
-        std::to_string(c.threads) + "_" + std::to_string(k) + ".ckpt");
+    const std::string path =
+        temp_checkpoint("svc_resume_" + name + std::to_string(c.threads) +
+                        "_" + std::to_string(k) + ".ckpt");
     CampaignService service({.threads = c.threads, .max_retries = 0});
     {
       // Let k shard tasks complete, crash every later attempt.
@@ -787,28 +798,22 @@ void run_resume_matrix(const ResumeCase& c) {
 }
 
 TEST(CampaignServiceResume, PrtPackedOneThread) {
-  run_resume_matrix({.march = false, .packed = true, .threads = 1});
+  run_resume_matrix({.workload = Workload::kPrt, .threads = 1});
 }
 TEST(CampaignServiceResume, PrtPackedFourThreads) {
-  run_resume_matrix({.march = false, .packed = true, .threads = 4});
-}
-TEST(CampaignServiceResume, PrtScalarOneThread) {
-  run_resume_matrix({.march = false, .packed = false, .threads = 1});
-}
-TEST(CampaignServiceResume, PrtScalarFourThreads) {
-  run_resume_matrix({.march = false, .packed = false, .threads = 4});
+  run_resume_matrix({.workload = Workload::kPrt, .threads = 4});
 }
 TEST(CampaignServiceResume, MarchPackedOneThread) {
-  run_resume_matrix({.march = true, .packed = true, .threads = 1});
+  run_resume_matrix({.workload = Workload::kMarch, .threads = 1});
 }
 TEST(CampaignServiceResume, MarchPackedFourThreads) {
-  run_resume_matrix({.march = true, .packed = true, .threads = 4});
+  run_resume_matrix({.workload = Workload::kMarch, .threads = 4});
 }
-TEST(CampaignServiceResume, MarchScalarOneThread) {
-  run_resume_matrix({.march = true, .packed = false, .threads = 1});
+TEST(CampaignServiceResume, WordMarchPerFaultOneThread) {
+  run_resume_matrix({.workload = Workload::kWordMarch, .threads = 1});
 }
-TEST(CampaignServiceResume, MarchScalarFourThreads) {
-  run_resume_matrix({.march = true, .packed = false, .threads = 4});
+TEST(CampaignServiceResume, WordMarchPerFaultFourThreads) {
+  run_resume_matrix({.workload = Workload::kWordMarch, .threads = 4});
 }
 
 TEST(CampaignServiceResume, ResumeAcrossThreadCountsIsBitIdentical) {

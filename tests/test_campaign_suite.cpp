@@ -66,14 +66,14 @@ TEST(CampaignSuite, PrtSuiteThreadCountInvariant) {
   auto factory = [](const CampaignOptions& opt) {
     return core::standard_scheme_bom(opt.n);
   };
-  EngineOptions serial;
-  serial.parallel = false;
   EngineOptions one;
   one.threads = 1;
+  EngineOptions two;
+  two.threads = 2;
   EngineOptions four;
   four.threads = 4;
-  const SuiteResult a = run_prt_suite(configs, factory, classical_for, serial);
-  const SuiteResult b = run_prt_suite(configs, factory, classical_for, one);
+  const SuiteResult a = run_prt_suite(configs, factory, classical_for, one);
+  const SuiteResult b = run_prt_suite(configs, factory, classical_for, two);
   const SuiteResult c = run_prt_suite(configs, factory, classical_for, four);
   ASSERT_EQ(a.configs.size(), configs.size());
   ASSERT_EQ(b.configs.size(), configs.size());

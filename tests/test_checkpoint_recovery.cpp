@@ -7,9 +7,11 @@
 // with the resumed result bit-identical to an uninterrupted run.
 // Only a fingerprint mismatch (a *different* campaign, not a damaged
 // one) may fail the request; no corruption may ever merge torn
-// results.
+// results, and no CRC-valid record that does not fit its shard (a
+// hand-edited record with a recomputed CRC) may be adopted either.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -23,6 +25,7 @@
 #include "core/prt_engine.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
+#include "util/crc32.hpp"
 #include "util/fail_point.hpp"
 
 namespace prt::analysis {
@@ -204,6 +207,119 @@ void run_corruption_matrix(bool march) {
 TEST(CheckpointRecovery, PrtCorruptionMatrix) { run_corruption_matrix(false); }
 TEST(CheckpointRecovery, MarchCorruptionMatrix) {
   run_corruption_matrix(true);
+}
+
+// --- CRC-valid records that do not fit their shard --------------------
+
+std::vector<std::string> split_words(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> words;
+  for (std::string w; in >> w;) words.push_back(w);
+  return words;
+}
+
+/// Rewrites the first record of the checkpoint at `path` through
+/// `edit` (applied to the record's payload words: "shard <i> ops <o>
+/// overall <d> <t> classes <c> (<cls> <d> <t>)* escapes <e> <idx>*
+/// dispatch <p> <s>") and re-signs it with a freshly computed CRC32, so
+/// only the shard-consistency check can tell it from a genuine record.
+template <typename Edit>
+void forge_first_record(const std::string& path, Edit&& edit) {
+  std::istringstream in(read_file(path));
+  std::string text;
+  bool forged = false;
+  for (std::string line; std::getline(in, line);) {
+    if (!forged && line.rfind("rec ", 0) == 0) {
+      std::vector<std::string> words = split_words(line.substr(13));
+      edit(words);
+      std::string payload;
+      for (const std::string& w : words) {
+        payload += (payload.empty() ? "" : " ") + w;
+      }
+      char crc[9];
+      std::snprintf(crc, sizeof crc, "%08x", util::crc32(payload));
+      line = std::string("rec ") + crc + " " + payload;
+      forged = true;
+    }
+    text += line + "\n";
+  }
+  ASSERT_TRUE(forged);
+  write_file(path, text);
+}
+
+/// Index of `word` in a payload's words (the caller knows it is there).
+std::size_t word_at(const std::vector<std::string>& words,
+                    const std::string& word) {
+  return static_cast<std::size_t>(
+      std::find(words.begin(), words.end(), word) - words.begin());
+}
+
+void bump(std::string& word, long delta) {
+  word = std::to_string(std::stol(word) + delta);
+}
+
+/// Resumes against a forged checkpoint: the forged record is not
+/// adopted, its shard is recomputed, the salvage is counted, and the
+/// result equals the uninterrupted run.
+void expect_forged_record_recomputed(bool march, const std::string& path) {
+  CampaignService service({.threads = 1});
+  CampaignRequest req = make_request(march);
+  req.checkpoint_path = path;
+  req.resume = true;
+  const RequestOutcome& out = service.submit(std::move(req)).wait();
+  ASSERT_EQ(out.status, RequestStatus::kComplete);
+  EXPECT_EQ(out.shards_resumed, kDoneShards - 1);
+  expect_identical(out.result, reference_result(march));
+  EXPECT_GE(service.stats().checkpoint_salvaged, 1u);
+}
+
+void run_forged_record_cases(bool march) {
+  const char* tag = march ? "march" : "prt";
+  {
+    SCOPED_TRACE("escape outside the shard's range");
+    const std::string path =
+        temp_checkpoint(std::string("ckpt_forged_escape_") + tag + ".ckpt");
+    write_interrupted_checkpoint(march, path);
+    // One detected fault of the first class becomes an escape at an
+    // index no shard owns; every count stays mutually consistent.
+    forge_first_record(path, [](std::vector<std::string>& w) {
+      const std::size_t overall = word_at(w, "overall");
+      const std::size_t classes = word_at(w, "classes");
+      const std::size_t escapes = word_at(w, "escapes");
+      bump(w[overall + 1], -1);
+      bump(w[classes + 3], -1);
+      bump(w[escapes + 1], +1);
+      w.insert(w.begin() + static_cast<std::ptrdiff_t>(escapes) + 2,
+               "1000000");
+    });
+    expect_forged_record_recomputed(march, path);
+    std::remove(path.c_str());
+  }
+  {
+    SCOPED_TRACE("inflated total");
+    const std::string path =
+        temp_checkpoint(std::string("ckpt_forged_total_") + tag + ".ckpt");
+    write_interrupted_checkpoint(march, path);
+    // One phantom detected fault: class and overall tallies agree with
+    // each other and with the escapes, but not with the shard's size.
+    forge_first_record(path, [](std::vector<std::string>& w) {
+      const std::size_t overall = word_at(w, "overall");
+      const std::size_t classes = word_at(w, "classes");
+      bump(w[overall + 1], +1);
+      bump(w[overall + 2], +1);
+      bump(w[classes + 3], +1);
+      bump(w[classes + 4], +1);
+    });
+    expect_forged_record_recomputed(march, path);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CheckpointRecovery, PrtForgedRecordsAreRecomputed) {
+  run_forged_record_cases(false);
+}
+TEST(CheckpointRecovery, MarchForgedRecordsAreRecomputed) {
+  run_forged_record_cases(true);
 }
 
 // --- injected partial final write -----------------------------------

@@ -6,7 +6,8 @@
 // FaultyRam holding that lane's single fault, and MarchCampaign must
 // reproduce the serial run_campaign(march_algorithm) CampaignResult —
 // coverage, per-class counts, escape indices and op totals — on any
-// universe, any thread count, packed or scalar.
+// universe, at any thread count, whether the campaign packs (m = 1) or
+// runs every fault on the live reference (word-oriented m > 1).
 #include "march/march_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -191,8 +192,9 @@ TEST(RunMarchPacked, NpsfRetentionAbortOpsMatchScalar) {
         std::uint64_t scalar_abort_ops = 0;
         for (std::size_t j = 0; j < lanes; ++j) {
           scalar.reset(universe[base + j]);
-          const auto r = march::run_march_transcript(scalar, transcript,
-                                                     {.early_abort = true});
+          const auto r = march::run_march(
+              test, scalar, background ? 1U : 0U, march::kDefaultDelayTicks,
+              {.early_abort = true});
           scalar_abort_ops += r.ops;
           EXPECT_EQ(((abort.detected >> j) & 1U) != 0, r.fail)
               << "n=" << n << " bg=" << background << " lane " << j << " ("
@@ -218,14 +220,11 @@ void check_march_campaign_parity(std::span<const mem::Fault> universe,
                                  const march::MarchTest& test,
                                  const analysis::CampaignOptions& opt) {
   const auto reference = serial_reference(universe, test, opt);
-  for (const bool packed : {false, true}) {
-    for (const unsigned threads : {1u, 3u}) {
-      analysis::MarchEngineOptions eng;
-      eng.threads = threads;
-      eng.packed = packed;
-      expect_identical(
-          reference, analysis::run_march_campaign(universe, test, opt, eng));
-    }
+  for (const unsigned threads : {1u, 3u}) {
+    analysis::MarchEngineOptions eng;
+    eng.threads = threads;
+    expect_identical(reference,
+                     analysis::run_march_campaign(universe, test, opt, eng));
   }
 }
 
@@ -257,8 +256,8 @@ TEST(MarchCampaign, BitIdenticalToSerialScalarOnVanDeGoor) {
 }
 
 // NPSF + retention universes ride the March lanes end to end: packed
-// and scalar campaigns, serial and threaded, all bit-identical on a
-// grid memory under March G's Del schedule.
+// campaigns, serial and threaded, bit-identical to the live reference
+// on a grid memory under March G's Del schedule.
 TEST(MarchCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   const mem::Addr n = 48;
   std::vector<mem::Fault> universe;
@@ -276,8 +275,8 @@ TEST(MarchCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   check_march_campaign_parity(universe, march::march_g(), opt);
 }
 
-// Word-oriented campaigns must transparently fall back to scalar (the
-// packed array models a 1-bit memory) while still fanning out.
+// Word-oriented campaigns are not packable: every fault runs per fault
+// on the live background sweep, still fanned out over the pool.
 TEST(MarchCampaign, WomCampaignFallsBackToScalar) {
   const mem::Addr n = 32;
   const unsigned m = 4;
@@ -347,7 +346,6 @@ TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
   for (const bool early_abort : {false, true}) {
     analysis::MarchEngineOptions ref_eng;
     ref_eng.threads = 1;
-    ref_eng.packed = true;
     ref_eng.early_abort = early_abort;
     ref_eng.lane_width = 64;
     const auto width64_reference = analysis::run_march_campaign(
@@ -358,7 +356,6 @@ TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
       for (const unsigned threads : {1u, 2u, 4u}) {
         analysis::MarchEngineOptions eng;
         eng.threads = threads;
-        eng.packed = true;
         eng.early_abort = early_abort;
         eng.lane_width = lane_width;
         const auto got = analysis::run_march_campaign(
@@ -388,12 +385,9 @@ TEST(MarchFaultDropping, FullRunDropsLatchedBatches) {
   const auto test = march::march_c_minus();
   analysis::CampaignOptions opt;
   opt.n = n;
-  analysis::MarchEngineOptions scalar;
-  scalar.packed = false;
-  const auto reference =
-      analysis::run_march_campaign(universe, test, opt, scalar);
+  const auto reference = serial_reference(universe, test, opt);
   ASSERT_EQ(reference.overall.total, universe.size());
-  // A full scalar run charges the complete test per fault.
+  // A full live run charges the complete test per fault.
   const std::uint64_t full_ops = reference.ops / reference.overall.total;
   analysis::MarchEngineOptions narrow;
   narrow.threads = 1;

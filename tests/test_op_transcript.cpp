@@ -1,17 +1,18 @@
 // Op-transcript compiler and replay (core/op_transcript.hpp,
 // march::make_march_transcript).
 //
-// The load-bearing property: a compiled transcript replay must issue
-// the *exact* operation stream of the live oracle-driven run — same
-// ops, same addresses, same values, same pauses, in the same order —
-// for any packable scheme and any March test, because the campaign
-// engines swap the live loops for replays and promise bit-identical
-// CampaignResults.  A RecordingRam captures both streams and the tests
-// diff them op for op over randomized schemes, every standard March
-// test, both backgrounds and n in {17, 64, 256}.  On top of the
-// stream identity, the replays' verdicts and abort op accounting must
-// match the live references on faulty memories (including the
-// scalar-vs-packed March abort-ops parity).
+// The load-bearing property: a compiled transcript must encode the
+// *exact* operation stream of the live oracle-driven run — same ops,
+// same addresses, same values, same pauses, in the same order — for
+// any packable scheme and any March test, because the campaign engines
+// swap the live loops for packed replays of it and promise
+// bit-identical CampaignResults.  A RecordingRam captures the live
+// stream and a test-local walk over the transcript records, and the
+// tests diff them op for op over randomized schemes, every standard
+// March test, both backgrounds and n in {17, 64, 256}.  On top of the
+// stream identity, the packed replays' verdicts and abort op
+// accounting must match the live references on faulty memories, fault
+// by fault.
 #include "core/op_transcript.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
 #include "core/prt_packed.hpp"
+#include "lfsr/misr.hpp"
 #include "march/march_library.hpp"
 #include "march/march_runner.hpp"
 #include "mem/fault_injector.hpp"
@@ -93,8 +95,71 @@ void expect_same_stream(const std::vector<RecordedOp>& live,
   }
 }
 
-/// Live oracle-driven run vs transcript replay on fault-free memories:
-/// the streams must be identical op for op, and the analytic
+/// Walks a compiled GF(2) PRT transcript on a fault-free RecordingRam,
+/// issuing the stream its records encode: per iteration the seed
+/// writes, the k-wide sweep windows with the fb_mask-selected feedback
+/// write, the Fin read-back, the Init re-read and the (paused) verify
+/// pass.  Along the way every read must return its record's golden
+/// value, every feedback write must equal the next golden sequence
+/// value, and each iteration's MISR signature and cumulative op
+/// prefix sums must match what the walk observed.
+void walk_prt_transcript(RecordingRam& memory, const core::OpTranscript& t,
+                         const std::string& label) {
+  ASSERT_EQ(t.width, 1u) << label;
+  const mem::Addr n = t.n;
+  const bool use_misr = t.misr_poly != 0;
+  lfsr::Misr misr(use_misr ? t.misr_poly : gf::Poly2{0b111});
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  auto read = [&](const core::OpRec& rec) {
+    ++reads;
+    const mem::Word raw = memory.read(rec.addr, 0);
+    EXPECT_EQ(raw, rec.golden) << label << " read of cell " << rec.addr;
+    return raw;
+  };
+  auto write = [&](mem::Addr addr, mem::Word value) {
+    ++writes;
+    memory.write(addr, value, 0);
+  };
+  for (const core::PrtIterSpan& it : t.iterations) {
+    ASSERT_TRUE(it.tap_rows.empty()) << label;
+    const core::OpRec* traj = t.recs.data() + it.traj_begin;
+    const unsigned k = it.k;
+    misr.reset();
+    for (unsigned j = 0; j < k; ++j) write(traj[j].addr, traj[j].golden);
+    for (mem::Addr q = 0; q + k < n; ++q) {
+      mem::Word fb = 0;
+      for (unsigned j = 0; j < k; ++j) {
+        const mem::Word raw = read(traj[q + j]);
+        if (use_misr) misr.shift(raw);
+        if ((it.fb_mask >> j) & 1U) fb ^= raw;
+      }
+      EXPECT_EQ(fb, traj[q + k].golden) << label << " feedback at " << q;
+      write(traj[q + k].addr, fb);
+    }
+    for (unsigned j = 0; j < k; ++j) {
+      const mem::Word raw = read(traj[n - k + j]);
+      if (use_misr) misr.shift(raw);
+    }
+    for (unsigned j = 0; j < k; ++j) {
+      const mem::Word raw = read(traj[j]);
+      if (use_misr) misr.shift(raw);
+    }
+    if (it.has_verify) {
+      if (it.pause_ticks != 0) memory.advance_time(it.pause_ticks);
+      for (mem::Addr a = 0; a < n; ++a) (void)read(t.recs[it.verify_begin + a]);
+    }
+    if (use_misr) {
+      EXPECT_EQ(misr.state(), it.misr_expected) << label;
+    }
+    EXPECT_EQ(reads, it.reads_end) << label;
+    EXPECT_EQ(writes, it.writes_end) << label;
+  }
+  EXPECT_EQ(reads + writes, t.total_ops()) << label;
+}
+
+/// Live oracle-driven run vs the transcript walk on fault-free
+/// memories: the streams must be identical op for op, and the analytic
 /// read/write totals must match the live counters.
 void expect_prt_transcript_identity(const core::PrtScheme& scheme,
                                     mem::Addr n, const std::string& label) {
@@ -104,13 +169,38 @@ void expect_prt_transcript_identity(const core::PrtScheme& scheme,
   const core::PrtVerdict lv =
       core::run_prt(live, scheme, oracle, {.record_iterations = false});
   RecordingRam replay(n);
-  const core::PrtVerdict rv = core::run_prt_transcript(replay, t);
+  walk_prt_transcript(replay, t, label);
   expect_same_stream(live.ops, replay.ops, label);
   EXPECT_TRUE(lv.pass && lv.misr_pass) << label;
-  EXPECT_TRUE(rv.pass && rv.misr_pass) << label;
-  EXPECT_EQ(lv.reads, rv.reads) << label;
-  EXPECT_EQ(lv.writes, rv.writes) << label;
-  EXPECT_EQ(rv.ops(), t.total_ops()) << label;
+  EXPECT_EQ(lv.ops(), t.total_ops()) << label;
+}
+
+/// Walks a compiled March transcript on a fault-free RecordingRam:
+/// each segment's records in order, reads checked against their golden
+/// data, writes of the golden data, one advance_time per Del element.
+/// Returns the ops issued.
+std::uint64_t walk_march_transcript(RecordingRam& memory,
+                                    const core::OpTranscript& t,
+                                    const std::string& label) {
+  std::uint64_t ops = 0;
+  for (const core::MarchSegment& seg : t.march) {
+    if (seg.is_delay) {
+      memory.advance_time(t.delay_ticks);
+      continue;
+    }
+    for (std::size_t r = seg.begin; r < seg.end; ++r) {
+      const core::OpRec& rec = t.recs[r];
+      const std::size_t j = (r - seg.begin) % seg.period;
+      if ((seg.read_mask >> j) & 1U) {
+        EXPECT_EQ(memory.read(rec.addr, 0), rec.golden)
+            << label << " read " << r;
+      } else {
+        memory.write(rec.addr, rec.golden, 0);
+      }
+      ++ops;
+    }
+  }
+  return ops;
 }
 
 /// A randomized packable scheme: k in {2, 3}, random GF(2) generator
@@ -172,10 +262,12 @@ TEST(OpTranscript, ReplayOpForOpIdenticalOnRandomPackableSchemes) {
   }
 }
 
-/// The scalar replay must reproduce run_prt's verdict and op counts on
-/// *faulty* memories too — including the kinds that stay on the scalar
-/// campaign path — with and without early abort.
-TEST(OpTranscript, ScalarReplayMatchesLiveRunOnFaults) {
+/// The packed replay must reproduce run_prt's verdict and op counts on
+/// *faulty* memories fault by fault — one fault per batch, so the
+/// batch's scalar-equivalent ops are that fault's own — with and
+/// without early abort, over every family the lanes carry (decoder
+/// multi-access, retention and NPSF extras included).
+TEST(OpTranscript, PackedReplayMatchesLiveRunOnFaults) {
   const mem::Addr n = 64;
   const core::PrtScheme scheme = core::extended_scheme_bom(n);
   const core::PrtOracle oracle = core::make_prt_oracle(scheme, n);
@@ -185,19 +277,23 @@ TEST(OpTranscript, ScalarReplayMatchesLiveRunOnFaults) {
   universe.push_back(mem::Fault::retention({5, 0}, 1, 100));
   universe.push_back(mem::Fault::npsf_static({17, 0}, 0b0000, 1, 8));
   mem::FaultyRam live(n, 1);
-  mem::FaultyRam replay(n, 1);
+  mem::PackedFaultRam packed(n);
+  core::PackedScratch scratch;
   for (const mem::Fault& f : universe) {
+    ASSERT_TRUE(mem::lane_compatible(f)) << f.describe();
     for (bool abort : {false, true}) {
-      const core::PrtRunOptions opts{.early_abort = abort,
-                                     .record_iterations = false};
       live.reset(f);
-      const core::PrtVerdict lv = core::run_prt(live, scheme, oracle, opts);
-      replay.reset(f);
-      const core::PrtVerdict rv = core::run_prt_transcript(replay, t, opts);
-      ASSERT_EQ(lv.detected(), rv.detected()) << f.describe();
-      ASSERT_EQ(lv.reads, rv.reads) << f.describe() << " abort=" << abort;
-      ASSERT_EQ(lv.writes, rv.writes) << f.describe() << " abort=" << abort;
-      ASSERT_EQ(live.total_stats().total(), replay.total_stats().total())
+      const core::PrtVerdict lv = core::run_prt(
+          live, scheme, oracle,
+          {.early_abort = abort, .record_iterations = false});
+      packed.reset();
+      packed.add_fault(f);
+      const core::PackedVerdict pv =
+          core::run_prt_packed(packed, t, {.early_abort = abort}, scratch);
+      ASSERT_EQ(lv.detected(), pv.lane_detected(0))
+          << f.describe() << " abort=" << abort;
+      ASSERT_EQ(lv.ops(), pv.scalar_ops) << f.describe() << " abort=" << abort;
+      ASSERT_EQ(live.total_stats().total(), pv.scalar_ops)
           << f.describe() << " abort=" << abort;
     }
   }
@@ -217,14 +313,15 @@ TEST(MarchTranscript, ReplayOpForOpIdenticalOnStandardTests) {
         RecordingRam live(n);
         const march::MarchResult lv =
             march::run_march(test, live, bg ? 1U : 0U);
-        RecordingRam replay(n);
-        const march::MarchResult rv = march::run_march_transcript(replay, t);
         const std::string label =
             test.name + " n=" + std::to_string(n) + " bg=" + (bg ? "1" : "0");
+        RecordingRam replay(n);
+        const std::uint64_t replay_ops =
+            walk_march_transcript(replay, t, label);
         expect_same_stream(live.ops, replay.ops, label);
-        EXPECT_EQ(lv.fail, rv.fail) << label;
-        EXPECT_EQ(lv.ops, rv.ops) << label;
-        EXPECT_EQ(rv.ops, t.total_ops()) << label;
+        EXPECT_FALSE(lv.fail) << label;
+        EXPECT_EQ(lv.ops, replay_ops) << label;
+        EXPECT_EQ(replay_ops, t.total_ops()) << label;
       }
     }
   }
@@ -271,20 +368,26 @@ TEST(MarchTranscript, AbortOpsParityScalarVsPacked) {
 }
 
 /// Abort-aware March campaigns: coverage and escapes unchanged, ops
-/// shrink identically on the packed and scalar paths, thread counts
-/// and packing permuted.
+/// shrink identically on the packed engine and the per-fault live
+/// reference (run_campaign over run_march_backgrounds with early
+/// abort).
 TEST(MarchTranscript, AbortCampaignBitIdenticalScalarVsPacked) {
   const mem::Addr n = 96;
   const auto universe = mem::classical_universe(n);
   analysis::CampaignOptions opt;
   opt.n = n;
   const auto test = march::march_c_minus();
-  const analysis::CampaignResult scalar_abort = analysis::run_march_campaign(
-      universe, test, opt,
-      {.threads = 1, .parallel = false, .packed = false, .early_abort = true});
+  const analysis::CampaignResult scalar_abort = analysis::run_campaign(
+      universe,
+      [&](mem::Memory& memory) {
+        return march::run_march_backgrounds(
+                   test, memory, march::standard_backgrounds(memory.width()),
+                   {.early_abort = true})
+            .fail;
+      },
+      opt);
   const analysis::CampaignResult packed_abort = analysis::run_march_campaign(
-      universe, test, opt,
-      {.threads = 3, .parallel = true, .packed = true, .early_abort = true});
+      universe, test, opt, {.threads = 3, .early_abort = true});
   EXPECT_EQ(scalar_abort.overall, packed_abort.overall);
   EXPECT_EQ(scalar_abort.by_class, packed_abort.by_class);
   EXPECT_EQ(scalar_abort.escapes, packed_abort.escapes);

@@ -575,6 +575,23 @@ analysis::CampaignResult serial_scalar_reference(
                                 opt);
 }
 
+/// The early-abort live reference: run_campaign over run_prt with
+/// early_abort on, so ops count only the iterations each fault's run
+/// actually issued.
+analysis::CampaignResult serial_abort_reference(
+    std::span<const mem::Fault> universe, const core::PrtScheme& scheme,
+    const analysis::CampaignOptions& opt) {
+  const core::PrtOracle oracle = core::make_prt_oracle(scheme, opt.n);
+  return analysis::run_campaign(
+      universe,
+      [&](mem::Memory& memory) {
+        return core::run_prt(memory, scheme, oracle,
+                             {.early_abort = true, .record_iterations = false})
+            .detected();
+      },
+      opt);
+}
+
 TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical256) {
   const mem::Addr n = 256;
   const auto universe = mem::classical_universe(n);
@@ -585,7 +602,6 @@ TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical256) {
   for (unsigned threads : {1u, 4u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    eng.packed = true;
     expect_identical(reference,
                      analysis::run_prt_campaign(universe, scheme, opt, eng));
   }
@@ -599,7 +615,6 @@ TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical1024) {
   opt.n = n;
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   analysis::EngineOptions eng;
-  eng.packed = true;
   expect_identical(reference,
                    analysis::run_prt_campaign(universe, scheme, opt, eng));
 }
@@ -616,7 +631,6 @@ TEST(PackedCampaign, BitIdenticalToSerialScalarOnVanDeGoor) {
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   analysis::EngineOptions eng;
   eng.threads = 3;  // uneven shards split batches at arbitrary points
-  eng.packed = true;
   expect_identical(reference,
                    analysis::run_prt_campaign(universe, scheme, opt, eng));
 }
@@ -630,21 +644,17 @@ void expect_identical_verdicts(const analysis::CampaignResult& a,
   EXPECT_EQ(a.escapes, b.escapes);
 }
 
-/// The packed+abort engine must (a) reproduce the scalar early-abort
-/// engine bit-for-bit *including ops*, and (b) reproduce the no-abort
-/// reference's verdicts, coverage and escapes.
+/// The packed+abort engine must (a) reproduce the early-abort live
+/// reference bit-for-bit *including ops*, and (b) reproduce the
+/// no-abort reference's verdicts, coverage and escapes.
 void check_abort_composition(std::span<const mem::Fault> universe,
                              const core::PrtScheme& scheme,
                              const analysis::CampaignOptions& opt,
                              const analysis::CampaignResult& reference) {
-  analysis::EngineOptions scalar_abort;
-  scalar_abort.threads = 2;
-  scalar_abort.packed = false;
-  scalar_abort.early_abort = true;
-  analysis::EngineOptions packed_abort = scalar_abort;
-  packed_abort.packed = true;
-  const auto a =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar_abort);
+  analysis::EngineOptions packed_abort;
+  packed_abort.threads = 2;
+  packed_abort.early_abort = true;
+  const auto a = serial_abort_reference(universe, scheme, opt);
   const auto b =
       analysis::run_prt_campaign(universe, scheme, opt, packed_abort);
   expect_identical(a, b);
@@ -702,7 +712,6 @@ TEST(PackedCampaign, MisrEnabledCampaignStaysBitIdentical) {
   opt.n = n;
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   analysis::EngineOptions eng;
-  eng.packed = true;
   expect_identical(reference,
                    analysis::run_prt_campaign(universe, scheme, opt, eng));
 }
@@ -724,7 +733,6 @@ TEST(PackedCampaign, WomCampaignBitIdenticalToSerialScalar) {
   for (const unsigned threads : {1u, 3u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    eng.packed = true;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
     // Every fault of this universe rides a lane at width 4.
@@ -760,7 +768,6 @@ TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   for (const unsigned threads : {1u, 3u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    eng.packed = true;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
     EXPECT_EQ(got.packed_faults, got.overall.total);
@@ -771,10 +778,11 @@ TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
 
 // --- dispatch tallies ----------------------------------------------------
 
-// packed_faults / scalar_faults partition the universe: a packed
-// engine routes every lane-compatible fault through a batch (only the
-// degenerate CFst trigger state falls back), a scalar engine routes
-// everything per fault, and the serial reference tallies scalar.
+// packed_faults / scalar_faults partition the universe: the engine
+// routes every lane-compatible fault through a batch and only the
+// degenerate CFst trigger state falls back to the live reference (with
+// the same verdict), and the serial reference tallies every fault as
+// per-fault.
 TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   const mem::Addr n = 48;
   auto universe = mem::van_de_goor_universe(n);
@@ -790,20 +798,13 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   EXPECT_EQ(serial.packed_faults, 0u);
 
   analysis::EngineOptions packed_eng;
-  packed_eng.packed = true;
   const auto packed =
       analysis::run_prt_campaign(universe, scheme, opt, packed_eng);
   EXPECT_EQ(packed.packed_faults, universe.size() - 1);
   EXPECT_EQ(packed.scalar_faults, 1u);
   EXPECT_EQ(packed.packed_faults + packed.scalar_faults,
             packed.overall.total);
-
-  analysis::EngineOptions scalar_eng;
-  scalar_eng.packed = false;
-  const auto scalar =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar_eng);
-  EXPECT_EQ(scalar.scalar_faults, universe.size());
-  EXPECT_EQ(scalar.packed_faults, 0u);
+  expect_identical(serial, packed);
 }
 
 // --- lane-width x thread-count parity (the tentpole acceptance) ----------
@@ -825,7 +826,6 @@ TEST(PackedCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
   for (const bool early_abort : {false, true}) {
     analysis::EngineOptions abort_ref_eng;
     abort_ref_eng.threads = 1;
-    abort_ref_eng.packed = true;
     abort_ref_eng.early_abort = early_abort;
     abort_ref_eng.lane_width = 64;
     const auto width64_reference =
@@ -836,7 +836,6 @@ TEST(PackedCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
       for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         analysis::EngineOptions eng;
         eng.threads = threads;
-        eng.packed = true;
         eng.early_abort = early_abort;
         eng.lane_width = lane_width;
         const auto got =
@@ -877,7 +876,6 @@ TEST(PackedCampaign, SmallShardsFallBackToNarrowLanes) {
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   for (const unsigned lane_width : {256u, 512u}) {
     analysis::EngineOptions eng;
-    eng.packed = true;
     eng.lane_width = lane_width;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
@@ -916,23 +914,16 @@ TEST(PackedCampaign, WideWidthBitIdenticalOnVanDeGoorWithAbort) {
   for (const unsigned lane_width : {256u, 512u}) {
     analysis::EngineOptions eng;
     eng.threads = 3;
-    eng.packed = true;
     eng.lane_width = lane_width;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
   }
   check_abort_composition(universe, scheme, opt, reference);
-  // Abort composition at wide width against the scalar abort engine.
-  analysis::EngineOptions scalar_abort;
-  scalar_abort.threads = 2;
-  scalar_abort.packed = false;
-  scalar_abort.early_abort = true;
-  const auto abort_ref =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar_abort);
+  // Abort composition at wide width against the live abort reference.
+  const auto abort_ref = serial_abort_reference(universe, scheme, opt);
   for (const unsigned lane_width : {256u, 512u}) {
     analysis::EngineOptions packed_abort;
     packed_abort.threads = 4;
-    packed_abort.packed = true;
     packed_abort.early_abort = true;
     packed_abort.lane_width = lane_width;
     expect_identical(abort_ref, analysis::run_prt_campaign(universe, scheme,
@@ -953,13 +944,10 @@ TEST(FaultDropping, FullRunDropsLatchedBatches) {
   const auto scheme = core::extended_scheme_bom(n);
   analysis::CampaignOptions opt;
   opt.n = n;
-  analysis::EngineOptions scalar;
-  scalar.packed = false;
-  const auto reference =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar);
+  const auto reference = serial_scalar_reference(universe, scheme, opt);
   ASSERT_TRUE(reference.escapes.empty());
   ASSERT_EQ(reference.overall.total, universe.size());
-  // A full scalar run charges the complete transcript per fault.
+  // A full live run charges the complete transcript per fault.
   const std::uint64_t full_ops = reference.ops / reference.overall.total;
   analysis::EngineOptions narrow;
   narrow.threads = 1;
