@@ -1,12 +1,11 @@
 // Internal shard-loop scaffolding under the generic campaign driver
 // (campaign_driver.hpp): per-fault tallying, the per-fault loop of
 // non-packable workloads, the lane-batching loop (64, 256 or 512 lanes
-// per batch, lane-incompatible faults on the live reference in place)
-// with its escape re-sort, and the pool fan-out with the
-// order-deterministic merge.  Keeping every
-// campaign type on one copy of this machinery is what keeps their
-// bit-identical-to-serial guarantees in lockstep — fix it here, all
-// paths get it.
+// per batch, filled kind by kind; lane-incompatible faults on the live
+// reference in place) with its escape re-sort, and the pool fan-out
+// with the order-deterministic merge.  Keeping every campaign type on
+// one copy of this machinery is what keeps their bit-identical-to-serial
+// guarantees in lockstep — fix it here, all paths get it.
 //
 // Header is internal to analysis/ (included via campaign_driver.hpp
 // by the campaign .cpp files only); the public surfaces are
@@ -15,6 +14,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -61,18 +61,43 @@ bool per_fault_shard(std::span<const mem::Fault> universe, std::size_t begin,
   return true;
 }
 
+/// Number of lane_group() keys: two per fault kind.
+inline constexpr std::size_t kLaneGroups =
+    2 * (static_cast<std::size_t>(mem::FaultKind::kDrf) + 1);
+
+/// Batching key of a lane-compatible fault: its kind, split for the
+/// two-cell kinds by whether the aggressor cell lies below the victim
+/// (the usual coupling-fault split by aggressor position).  Faults of
+/// one group tend to latch at similar points of a replay, so a batch
+/// filled from one group stops near that group's latch point instead
+/// of waiting for a never-latching kind packed beside it.  A property
+/// of the fault alone, never of the workload.
+[[nodiscard]] inline std::size_t lane_group(const mem::Fault& f) {
+  const bool below =
+      mem::is_coupling(f.kind) && f.aggressor.cell < f.victim.cell;
+  const std::size_t group =
+      2 * static_cast<std::size_t>(f.kind) + (below ? 1 : 0);
+  assert(group < kLaneGroups);  // kDrf must stay the last FaultKind
+  return group;
+}
+
 /// Lane-batched shard loop: compatible faults ride the packed ram
 /// kLanes at a time (64 for the LaneWord instantiation, 256/512 for
-/// the wide words), the residue runs per fault in place.
+/// the wide words), the residue runs per fault in place on the live
+/// reference.  The compatible faults are packed in lane_group() order
+/// (a stable counting sort of each window of 4 * kLanes indices), so
+/// batches are kind-uniform except where one group ends and the next
+/// begins.
 /// run_batch(packed) runs one flushed batch and returns {detected lane
 /// word, ops to charge for the whole batch}; run_fault(i) -> detected
 /// as above.  Escapes are gathered out of order and sorted once —
 /// counts and op sums are order-independent, so the shard output is
 /// bit-identical to the per-fault live reference *and* to itself at
-/// any other lane width (the per-lane verdicts are width-invariant;
-/// only the sched telemetry records which width ran).  Polls `stop`
-/// per fault, same contract as per_fault_shard (false = shard
-/// abandoned, discard `out`).
+/// any other lane width or packing order (the per-lane verdicts are
+/// width- and neighbour-invariant; only the sched telemetry records
+/// which width ran and how many packed accesses the batches issued).
+/// Polls `stop` per fault, same contract as per_fault_shard (false =
+/// shard abandoned, discard `out`).
 template <typename W, typename RunBatch, typename RunFault>
 bool lane_batched_shard(std::span<const mem::Fault> universe,
                         std::size_t begin, std::size_t end,
@@ -96,14 +121,41 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
     }
     packed.reset();
   };
-  for (std::size_t i = begin; i < end; ++i) {
-    if (stop.stop_requested()) return false;
-    if (mem::lane_compatible(universe[i], packed.width())) {
+  // Grouping runs per window of kWindow indices (the driver's
+  // steal-queue batch), so the index buffer stays bounded when one
+  // worker runs the whole universe as a single shard.  Batches keep
+  // filling across windows.
+  constexpr std::size_t kWindow = std::size_t{4} * kLanes;
+  std::vector<std::size_t> order;
+  for (std::size_t window = begin; window < end; window += kWindow) {
+    const std::size_t window_end = std::min(end, window + kWindow);
+    // Pass 1: the residue runs in place; the compatible faults are
+    // counted per group.
+    std::array<std::size_t, kLaneGroups + 1> group_start{};
+    for (std::size_t i = window; i < window_end; ++i) {
+      if (stop.stop_requested()) return false;
+      if (mem::lane_compatible(universe[i], packed.width())) {
+        ++group_start[lane_group(universe[i]) + 1];
+      } else {
+        tally_fault(out, universe, i, run_fault(i));
+        ++out.scalar_faults;
+      }
+    }
+    // Pass 2: stable counting sort of the compatible faults into group
+    // order, then pack.
+    for (std::size_t g = 1; g <= kLaneGroups; ++g) {
+      group_start[g] += group_start[g - 1];
+    }
+    order.resize(group_start[kLaneGroups]);
+    for (std::size_t i = window; i < window_end; ++i) {
+      if (mem::lane_compatible(universe[i], packed.width())) {
+        order[group_start[lane_group(universe[i])]++] = i;
+      }
+    }
+    for (const std::size_t i : order) {
+      if (stop.stop_requested()) return false;
       batch_index[packed.add_fault(universe[i])] = i;
       if (packed.lanes_used() == kLanes) flush();
-    } else {
-      tally_fault(out, universe, i, run_fault(i));
-      ++out.scalar_faults;
     }
   }
   flush();

@@ -45,6 +45,8 @@ enum class FaultKind : std::uint8_t {
   // --- time-dependent ------------------------------------------------
   kDrf,  // data retention: the bit decays to a value when not
          // refreshed (written) for `delay` operation-ticks
+  // kDrf stays last: the campaign shard loop sizes its per-kind
+  // batching table from it (analysis/campaign_shard.hpp lane_group).
 };
 
 /// True for fault kinds involving a second (aggressor) cell.

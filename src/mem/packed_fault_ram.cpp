@@ -59,30 +59,35 @@ bool lane_compatible(const Fault& fault, unsigned width) {
 
 template <typename W>
 PackedFaultRamT<W>::PackedFaultRamT(Addr cells, unsigned width)
-    : size_(cells),
-      width_(width),
-      data_(static_cast<std::size_t>(cells) * width, W{}),
-      slot_of_site_(static_cast<std::size_t>(cells) * width, -1) {
+    : size_(cells), width_(width) {
+  // Validate before sizing anything: a bad width must be an
+  // invalid_argument, never a cells * width allocation.
   if (cells < 1) {
     throw std::invalid_argument("PackedFaultRam: cells must be >= 1");
   }
   if (width < 1 || width > kMaxWidth) {
     throw std::invalid_argument("PackedFaultRam: width must be in [1, 32]");
   }
-  // A typical mixed batch touches a handful of sites per lane; the
-  // wide instantiations cap the reserve so one batch ram stays a few
-  // hundred KB and grows amortized past it instead.
-  const std::size_t reserve = 6 * std::min<unsigned>(kLanes, 64);
-  slots_.reserve(reserve);
-  dirty_sites_.reserve(reserve);
+  const std::size_t sites = static_cast<std::size_t>(cells) * width;
+  data_.assign(sites, W{});
+  slot_of_site_.assign(sites, -1);
+  // The fault tables start empty and grow on first use: a batch only
+  // pays records for the families it holds, and the capacity survives
+  // reset() for the next batch.
 }
 
 template <typename W>
 void PackedFaultRamT<W>::reset() {
   std::fill(data_.begin(), data_.end(), W{});
   for (const std::size_t site : dirty_sites_) slot_of_site_[site] = -1;
-  slots_.clear();
+  site_slots_.clear();
   dirty_sites_.clear();
+  write_faults_.clear();
+  read_faults_.clear();
+  coupling_faults_.clear();
+  decoder_faults_.clear();
+  retention_faults_.clear();
+  npsf_faults_.clear();
   forced1_ = W{};
   cfst_state1_ = W{};
   bridge_or_ = W{};
@@ -94,26 +99,11 @@ void PackedFaultRamT<W>::reset() {
   drf_refreshed_.fill(0);
   drf_delay_.fill(0);
   lanes_used_ = 0;
-  has_two_cell_ = false;
-  has_af_ = false;
-  has_npsf_ = false;
-  has_drf_ = false;
   has_sof_ = false;
   last_read_.fill(W{});
   reads_ = 0;
   writes_ = 0;
   idle_ticks_ = 0;
-}
-
-template <typename W>
-typename PackedFaultRamT<W>::CellFaults& PackedFaultRamT<W>::slot_for(
-    std::size_t site) {
-  if (slot_of_site_[site] < 0) {
-    slot_of_site_[site] = static_cast<std::int16_t>(slots_.size());
-    slots_.emplace_back();
-    dirty_sites_.push_back(site);
-  }
-  return slots_[static_cast<std::size_t>(slot_of_site_[site])];
 }
 
 template <typename W>
@@ -155,7 +145,6 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
     throw std::length_error("PackedFaultRam::add_fault: all lanes taken");
   }
   const unsigned lane = lanes_used_++;
-  has_two_cell_ = has_two_cell_ || is_coupling(fault.kind);
   const W mask = lane_bit<W>(lane);
   const std::size_t vic = site_of(fault.victim.cell, fault.victim.bit);
   const std::size_t agg = site_of(fault.aggressor.cell, fault.aggressor.bit);
@@ -166,56 +155,56 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
   };
   switch (fault.kind) {
     case FaultKind::kSaf0:
-      slot_for(vic).saf0 |= mask;
+      slot(write_faults_, vic).saf0 |= mask;
       // Stuck-at victims hold from injection, matching FaultyRam.
       force_bit(vic, 0);
       break;
     case FaultKind::kSaf1:
-      slot_for(vic).saf1 |= mask;
+      slot(write_faults_, vic).saf1 |= mask;
       force_bit(vic, 1);
       break;
     case FaultKind::kTfUp:
-      slot_for(vic).tf_up |= mask;
+      slot(write_faults_, vic).tf_up |= mask;
       break;
     case FaultKind::kTfDown:
-      slot_for(vic).tf_down |= mask;
+      slot(write_faults_, vic).tf_down |= mask;
       break;
     case FaultKind::kWdf:
-      slot_for(vic).wdf |= mask;
+      slot(write_faults_, vic).wdf |= mask;
       break;
     case FaultKind::kRdf:
-      slot_for(vic).rdf |= mask;
+      slot(read_faults_, vic).rdf |= mask;
       break;
     case FaultKind::kDrdf:
-      slot_for(vic).drdf |= mask;
+      slot(read_faults_, vic).drdf |= mask;
       break;
     case FaultKind::kIrf:
-      slot_for(vic).irf |= mask;
+      slot(read_faults_, vic).irf |= mask;
       break;
     case FaultKind::kSof:
-      slot_for(vic).sof |= mask;
+      slot(read_faults_, vic).sof |= mask;
       has_sof_ = true;
       break;
     case FaultKind::kCfIn:
-      slot_for(agg).cfin |= mask;
+      slot(coupling_faults_, agg).cfin |= mask;
       lane_victim_[lane] = vic;
       break;
     case FaultKind::kCfIdUp0:
     case FaultKind::kCfIdUp1:
-      slot_for(agg).cfid_up |= mask;
+      slot(coupling_faults_, agg).cfid_up |= mask;
       lane_victim_[lane] = vic;
       if (fault.kind == FaultKind::kCfIdUp1) forced1_ |= mask;
       break;
     case FaultKind::kCfIdDown0:
     case FaultKind::kCfIdDown1:
-      slot_for(agg).cfid_down |= mask;
+      slot(coupling_faults_, agg).cfid_down |= mask;
       lane_victim_[lane] = vic;
       if (fault.kind == FaultKind::kCfIdDown1) forced1_ |= mask;
       break;
     case FaultKind::kCfSt0:
     case FaultKind::kCfSt1: {
-      slot_for(agg).cfst_agg |= mask;
-      slot_for(vic).cfst_vic |= mask;
+      slot(coupling_faults_, agg).cfst_agg |= mask;
+      slot(coupling_faults_, vic).cfst_vic |= mask;
       lane_victim_[lane] = vic;
       lane_aggressor_[lane] = agg;
       const unsigned forced = fault.kind == FaultKind::kCfSt1 ? 1U : 0U;
@@ -235,25 +224,25 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       // Decoder faults remap the whole word access, so the masks go on
       // every site of the faulty address.
       for (unsigned p = 0; p < width_; ++p) {
-        CellFaults& s = slot_for(site_of(fault.victim.cell, p));
+        DecoderFaults& s =
+            slot(decoder_faults_, site_of(fault.victim.cell, p));
         if (fault.kind == FaultKind::kAfNoAccess) {
-          s.af_no |= mask;
+          s.no |= mask;
         } else if (fault.kind == FaultKind::kAfWrongAccess) {
-          s.af_wrong |= mask;
+          s.wrong |= mask;
         } else {
-          s.af_multi |= mask;
+          s.multi |= mask;
         }
       }
       if (fault.kind != FaultKind::kAfNoAccess) {
         lane_victim_[lane] = fault.alias;  // alias *cell*, plane per access
       }
-      has_af_ = true;
       break;
     }
     case FaultKind::kBridgeAnd:
     case FaultKind::kBridgeOr: {
-      slot_for(vic).bridge |= mask;
-      slot_for(agg).bridge |= mask;
+      slot(coupling_faults_, vic).bridge |= mask;
+      slot(coupling_faults_, agg).bridge |= mask;
       lane_victim_[lane] = vic;
       lane_aggressor_[lane] = agg;
       const bool wired_or = fault.kind == FaultKind::kBridgeOr;
@@ -285,14 +274,13 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       const std::size_t east = site_of(v + 1, plane);
       const std::size_t south = site_of(v + cols, plane);
       const std::size_t west = site_of(v - 1, plane);
-      slot_for(north).npsf_n |= mask;
-      slot_for(east).npsf_e |= mask;
-      slot_for(south).npsf_s |= mask;
-      slot_for(west).npsf_w |= mask;
-      slot_for(vic).npsf_vic |= mask;
+      slot(npsf_faults_, north).n |= mask;
+      slot(npsf_faults_, east).e |= mask;
+      slot(npsf_faults_, south).s |= mask;
+      slot(npsf_faults_, west).w |= mask;
+      slot(npsf_faults_, vic).vic |= mask;
       lane_victim_[lane] = vic;
       npsf_lanes_ |= mask;
-      has_npsf_ = true;
       if (fault.state & 1U) npsf_forced1_ |= mask;
       // Pattern bits are (N << 3) | (E << 2) | (S << 1) | W, matching
       // FaultyRam::enforce_conditions.
@@ -316,14 +304,13 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       break;
     }
     case FaultKind::kDrf: {
-      slot_for(vic).drf |= mask;
+      slot(retention_faults_, vic) |= mask;
       lane_victim_[lane] = vic;
       // The charge is stamped with the current clock, like FaultyRam's
       // refreshed_at_.push_back(clock_) at inject.
       drf_refreshed_[lane] = clock();
       drf_delay_[lane] = fault.delay;
       if (fault.state & 1U) drf_decay1_ |= mask;
-      has_drf_ = true;
       break;
     }
     default:
@@ -337,29 +324,7 @@ void PackedFaultRamT<W>::read_word(Addr cell, W* out) {
   assert(cell < size_);
   ++reads_;
   const std::size_t base = static_cast<std::size_t>(cell) * width_;
-  for (unsigned p = 0; p < width_; ++p) {
-    const std::size_t site = base + p;
-    const std::int16_t slot = slot_of_site_[site];
-    W value;
-    if (slot >= 0) {
-      const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-      if (has_drf_ && lane_any(f.drf)) apply_retention(site, f.drf);
-      value = data_[site];
-      value ^= f.rdf;
-      data_[site] = value ^ f.drdf;
-      value ^= f.irf;
-      value = (value & ~f.sof) | (last_read_[p] & f.sof);
-      if (has_af_) {
-        value &= ~f.af_no;
-        if (lane_any(f.af_wrong | f.af_multi)) {
-          value = apply_af_read(value, f, p);
-        }
-      }
-    } else {
-      value = data_[site];
-    }
-    out[p] = value;
-  }
+  for (unsigned p = 0; p < width_; ++p) out[p] = read_site(base + p, p);
   // The sense-amp history updates with the whole returned word, after
   // every plane's patches (FaultyRam stores last_read_ once per read).
   if (has_sof_) {
@@ -381,69 +346,50 @@ void PackedFaultRamT<W>::write_word(Addr cell, const W* planes) {
   // write switch together (FaultyRam::physical_write does the same).
   for (unsigned p = 0; p < width_; ++p) {
     const std::size_t site = base + p;
-    const W o = data_[site];
-    old[p] = o;
-    W nb = planes[p];
     const std::int16_t slot = slot_of_site_[site];
+    old[p] = data_[site];
     if (slot < 0) {
-      data_[site] = nb;
-      landed[p] = nb;
+      data_[site] = planes[p];
+      landed[p] = planes[p];
       continue;
     }
     any_slot = true;
-    const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-    nb ^= f.wdf & ~(o ^ nb);
-    nb &= ~(f.tf_up & ~o);
-    nb |= f.tf_down & o;
-    nb = (nb & ~f.saf0) | f.saf1;
-    if (has_af_) {
-      const W suppressed = f.af_no | f.af_wrong;
-      nb = (nb & ~suppressed) | (o & suppressed);
-      data_[site] = nb;
-      if (lane_any(f.af_wrong | f.af_multi)) apply_af_write(planes[p], f, p);
-    } else {
-      data_[site] = nb;
-    }
-    landed[p] = nb;
-    if (has_drf_ && lane_any(f.drf)) refresh_retention(f.drf);
+    landed[p] =
+        land(site, site_slots_[static_cast<std::size_t>(slot)], planes[p], p);
   }
-  if (!any_slot || !(has_two_cell_ || has_npsf_)) return;
+  if (!any_slot) return;
   // Phase 2: coupling fires per plane in ascending order against the
   // landed values (not the post-coupling state — FaultyRam computes
   // its transition set from `old` vs `landed` too), then the NPSF
   // neighbourhood re-check runs for every touched site.
   for (unsigned p = 0; p < width_; ++p) {
-    const std::size_t site = base + p;
-    const std::int16_t slot = slot_of_site_[site];
+    const std::int16_t slot = slot_of_site_[base + p];
     if (slot < 0) continue;
-    const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-    if (has_two_cell_ && lane_any(f.coupling_any())) {
-      apply_coupling(site, old[p], landed[p], f);
+    const SiteSlots& s = site_slots_[static_cast<std::size_t>(slot)];
+    if (const CouplingFaults* f = coupling_faults_.find(s)) {
+      apply_coupling(base + p, old[p], landed[p], *f);
     }
   }
-  if (has_npsf_) {
-    for (unsigned p = 0; p < width_; ++p) {
-      const std::size_t site = base + p;
-      const std::int16_t slot = slot_of_site_[site];
-      if (slot < 0) continue;
-      const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-      if (lane_any(f.npsf_any())) apply_npsf(site, f);
-    }
+  for (unsigned p = 0; p < width_; ++p) {
+    const std::int16_t slot = slot_of_site_[base + p];
+    if (slot < 0) continue;
+    const SiteSlots& s = site_slots_[static_cast<std::size_t>(slot)];
+    if (const NpsfFaults* f = npsf_faults_.find(s)) apply_npsf(base + p, *f);
   }
 }
 
 template <typename W>
-W PackedFaultRamT<W>::apply_af_read(W value, const CellFaults& f,
+W PackedFaultRamT<W>::apply_af_read(W value, const DecoderFaults& f,
                                     unsigned plane) {
   // Per-lane scatter over the few decoder lanes remapping this cell.
-  for_each_set_lane(f.af_wrong, [&](unsigned lane) {
+  for_each_set_lane(f.wrong, [&](unsigned lane) {
     const W bit = lane_bit<W>(lane);
     const std::size_t alias =
         site_of(static_cast<Addr>(lane_victim_[lane]), plane);
     // Wrong access: the sense amp sees the alias cell.
     value = (value & ~bit) | (data_[alias] & bit);
   });
-  for_each_set_lane(f.af_multi, [&](unsigned lane) {
+  for_each_set_lane(f.multi, [&](unsigned lane) {
     const W bit = lane_bit<W>(lane);
     const std::size_t alias =
         site_of(static_cast<Addr>(lane_victim_[lane]), plane);
@@ -455,9 +401,10 @@ W PackedFaultRamT<W>::apply_af_read(W value, const CellFaults& f,
 }
 
 template <typename W>
-void PackedFaultRamT<W>::apply_af_write(const W& value, const CellFaults& f,
+void PackedFaultRamT<W>::apply_af_write(const W& value,
+                                        const DecoderFaults& f,
                                         unsigned plane) {
-  for_each_set_lane(f.af_wrong | f.af_multi, [&](unsigned lane) {
+  for_each_set_lane(f.wrong | f.multi, [&](unsigned lane) {
     const W bit = lane_bit<W>(lane);
     const std::size_t alias =
         site_of(static_cast<Addr>(lane_victim_[lane]), plane);
@@ -484,16 +431,16 @@ void PackedFaultRamT<W>::refresh_retention(const W& m) {
 }
 
 template <typename W>
-void PackedFaultRamT<W>::apply_npsf(std::size_t site, const CellFaults& f) {
+void PackedFaultRamT<W>::apply_npsf(std::size_t site, const NpsfFaults& f) {
   // Refresh the direction caches for every lane whose neighbour is
   // this site, then match all lanes' patterns at once: a lane matches
   // when each cached neighbour value equals its pattern bit, i.e. when
   // it contributes no bit to any direction's XOR.
   const W v = data_[site];
-  nval_[0] = (nval_[0] & ~f.npsf_n) | (v & f.npsf_n);
-  nval_[1] = (nval_[1] & ~f.npsf_e) | (v & f.npsf_e);
-  nval_[2] = (nval_[2] & ~f.npsf_s) | (v & f.npsf_s);
-  nval_[3] = (nval_[3] & ~f.npsf_w) | (v & f.npsf_w);
+  nval_[0] = (nval_[0] & ~f.n) | (v & f.n);
+  nval_[1] = (nval_[1] & ~f.e) | (v & f.e);
+  nval_[2] = (nval_[2] & ~f.s) | (v & f.s);
+  nval_[3] = (nval_[3] & ~f.w) | (v & f.w);
   const W match =
       npsf_lanes_ & ~((nval_[0] ^ npat_[0]) | (nval_[1] ^ npat_[1]) |
                       (nval_[2] ^ npat_[2]) | (nval_[3] ^ npat_[3]));
@@ -502,7 +449,7 @@ void PackedFaultRamT<W>::apply_npsf(std::size_t site, const CellFaults& f) {
   // pattern already matched before this write had its victim forced
   // when the pattern last became true — nothing else can move an NPSF
   // lane's bits, because the lane holds no other fault.
-  for_each_set_lane(match & f.npsf_any(), [&](unsigned lane) {
+  for_each_set_lane(match & f.any(), [&](unsigned lane) {
     const std::size_t vic = lane_victim_[lane];
     lane_assign(data_[vic], lane, lane_test(npsf_forced1_, lane));
   });
@@ -510,7 +457,8 @@ void PackedFaultRamT<W>::apply_npsf(std::size_t site, const CellFaults& f) {
 
 template <typename W>
 void PackedFaultRamT<W>::apply_coupling(std::size_t site, const W& old,
-                                        const W& now, const CellFaults& f) {
+                                        const W& now,
+                                        const CouplingFaults& f) {
   // Per-lane scatter over the few lanes coupled to this site.  Lanes
   // are disjoint across the masks (one fault per lane), so the order
   // of the blocks is irrelevant.

@@ -82,11 +82,13 @@ class PackedFaultRamT {
   using Word = W;
   static constexpr unsigned kLanes = LaneTraits<W>::kLanes;
   static constexpr unsigned kMaxWidth = 32;
-  // A decoder lane registers one slot per bit plane, so a full batch
-  // can need kLanes * kMaxWidth slots; slot_of_site_ indexes them as
-  // int16_t and must not overflow when the lane word grows.
+  // A decoder lane registers one faulty site per bit plane (every other
+  // lane at most five), so a full batch can have kLanes * kMaxWidth
+  // faulty sites; slot_of_site_ indexes them as int16_t and must not
+  // overflow when the lane word grows.  Each FamilyTable checks its
+  // own record index the same way.
   static_assert(kLanes * kMaxWidth <= INT16_MAX,
-                "slot_of_site_ (int16_t) cannot index every slot");
+                "slot_of_site_ (int16_t) cannot index every faulty site");
 
   /// A packed array of `cells` `width`-bit cells, all lanes
   /// zero-filled, no faults.  Throws std::invalid_argument when cells
@@ -133,9 +135,7 @@ class PackedFaultRamT {
   /// applying each lane's write fault and firing each lane's coupling
   /// and NPSF effects (this cell as aggressor, victim, bridge endpoint
   /// or neighbourhood member).  Preconditions: addr < size(), width()
-  /// == 1.  Defined inline below; batches with only single-cell faults
-  /// skip the two-cell/NPSF fire steps entirely (has_two_cell_,
-  /// has_npsf_).
+  /// == 1.  Defined inline below, like read().
   void write(Addr addr, W value);
 
   /// Reads all width() planes of `cell` into out[0..width()), counting
@@ -176,64 +176,134 @@ class PackedFaultRamT {
   [[nodiscard]] W peek(Addr site) const { return data_[site]; }
 
  private:
-  /// Per-kind lane masks for one faulty site; a lane's bit is set in
-  /// the masks of at most the few sites its single fault references
-  /// (two for coupling, five for NPSF).
-  struct CellFaults {
-    // Single-cell kinds (this site is the victim).
+  // Per-family lane masks for one faulty site.  Each fault family keeps
+  // its own compact records (FamilyTable), so a faulty site pays only
+  // for the families registered on it and a kind-uniform batch touches
+  // one small table.  A lane's bit is set in the masks of at most the
+  // few sites its single fault references (two for coupling, five for
+  // NPSF, one per bit plane for the decoder).
+
+  /// Single-cell write kinds, registered on the victim site.
+  struct WriteFaults {
     W saf0{}, saf1{};
     W tf_up{}, tf_down{}, wdf{};
+  };
+  /// Read-logic kinds, registered on the victim site.
+  struct ReadFaults {
     W rdf{}, drdf{}, irf{}, sof{};
-    // Two-cell kinds.  cfin/cfid_*/cfst_agg are registered on the
-    // *aggressor* site, cfst_vic on the *victim* site (its writes must
-    // re-enforce the condition), bridge on *both* endpoints.
+  };
+  /// Two-cell kinds.  cfin/cfid_*/cfst_agg are registered on the
+  /// *aggressor* site, cfst_vic on the *victim* site (its writes must
+  /// re-enforce the condition), bridge on *both* endpoints.
+  struct CouplingFaults {
     W cfin{};
     W cfid_up{}, cfid_down{};
     W cfst_agg{}, cfst_vic{};
     W bridge{};
-    // Decoder kinds, registered on every site of the *faulty address*
-    // (accesses to any other address behave normally — one fault per
-    // lane).  The wrong/multi alias cell lives in lane_victim_.
-    W af_no{};      // address opens no cell: reads 0, writes lost
-    W af_wrong{};   // address opens the alias cell instead
-    W af_multi{};   // address opens its own cell and the alias
-    // Retention, registered on the victim site: a read latches the
-    // decayed value when the clock has run past the lane's delay, a
-    // write refreshes the charge.
-    W drf{};
-    // NPSF neighbourhood membership: npsf_n marks lanes for which this
-    // site is the *north* neighbour (and so on for e/s/w), npsf_vic
-    // lanes for which it is the base (victim) site.  Together they are
-    // the packed analogue of FaultyRam's `touched` test — a write to
-    // any site in the 5-cell neighbourhood re-checks the trigger.
-    W npsf_n{}, npsf_e{}, npsf_s{}, npsf_w{};
-    W npsf_vic{};
+  };
+  /// Decoder kinds, registered on every site of the *faulty address*
+  /// (accesses to any other address behave normally — one fault per
+  /// lane).  The wrong/multi alias cell lives in lane_victim_.
+  struct DecoderFaults {
+    W no{};     // address opens no cell: reads 0, writes lost
+    W wrong{};  // address opens the alias cell instead
+    W multi{};  // address opens its own cell and the alias
+  };
+  /// NPSF neighbourhood membership: n marks lanes for which this site
+  /// is the *north* neighbour (and so on for e/s/w), vic lanes for
+  /// which it is the base (victim) site.  Together they are the packed
+  /// analogue of FaultyRam's `touched` test — a write to any site in
+  /// the 5-cell neighbourhood re-checks the trigger.
+  struct NpsfFaults {
+    W n{}, e{}, s{}, w{};
+    W vic{};
 
-    [[nodiscard]] W coupling_any() const {
-      return cfin | cfid_up | cfid_down | cfst_agg | cfst_vic | bridge;
+    [[nodiscard]] W any() const { return n | e | s | w | vic; }
+  };
+
+  /// A family's position in SiteSlots.
+  enum Family : unsigned {
+    kWrite,
+    kRead,
+    kCoupling,
+    kDecoder,
+    kRetention,
+    kNpsf,
+    kFamilies
+  };
+
+  /// A faulty site's record index in each family's table, -1 where the
+  /// family registered nothing on the site.
+  using SiteSlots = std::array<std::int16_t, kFamilies>;
+
+  /// One family's records.  kMaxSlots is the most records one batch
+  /// can register in the family, all of which the int16_t index in
+  /// SiteSlots must reach.  reset() keeps the capacity.
+  template <typename Rec, Family kFamily, std::size_t kMaxSlots>
+  class FamilyTable {
+    static_assert(kMaxSlots <= INT16_MAX,
+                  "FamilyTable's int16_t index cannot reach every record");
+
+   public:
+    /// The family's record on a faulty site, null when it has none.
+    [[nodiscard]] const Rec* find(const SiteSlots& site) const {
+      const std::int16_t i = site[kFamily];
+      return i < 0 ? nullptr : &recs_[static_cast<std::size_t>(i)];
     }
-    [[nodiscard]] W npsf_any() const {
-      return npsf_n | npsf_e | npsf_s | npsf_w | npsf_vic;
+
+    /// The family's record on a faulty site, created zeroed.
+    Rec& slot(SiteSlots& site) {
+      if (site[kFamily] < 0) {
+        assert(recs_.size() < kMaxSlots);
+        site[kFamily] = static_cast<std::int16_t>(recs_.size());
+        recs_.emplace_back();
+      }
+      return recs_[static_cast<std::size_t>(site[kFamily])];
     }
+
+    void clear() { recs_.clear(); }
+
+   private:
+    std::vector<Rec> recs_;
   };
 
   [[nodiscard]] std::size_t site_of(Addr cell, unsigned plane) const {
     return static_cast<std::size_t>(cell) * width_ + plane;
   }
 
-  CellFaults& slot_for(std::size_t site);
+  /// Creates or returns `table`'s record on `site`, registering the
+  /// site as faulty first if it is not yet.
+  template <typename Table>
+  auto& slot(Table& table, std::size_t site) {
+    if (slot_of_site_[site] < 0) {
+      slot_of_site_[site] = static_cast<std::int16_t>(site_slots_.size());
+      site_slots_.emplace_back();
+      site_slots_.back().fill(-1);
+      dirty_sites_.push_back(site);
+    }
+    return table.slot(
+        site_slots_[static_cast<std::size_t>(slot_of_site_[site])]);
+  }
+
+  /// Lands a write of `value` on faulty site `site` (slots `s`) through
+  /// the write-kind and decoder records and refreshes its retention
+  /// charges; returns the landed value.  The two-cell and NPSF effects
+  /// are the caller's (write() fires them at once, write_word() after
+  /// every plane has landed).
+  W land(std::size_t site, const SiteSlots& s, const W& value,
+         unsigned plane);
 
   /// Fires the two-cell effects of a write to site `site` that landed
   /// `now` over `old` (per-lane scatter over the few coupled lanes).
   void apply_coupling(std::size_t site, const W& old, const W& now,
-                      const CellFaults& f);
+                      const CouplingFaults& f);
 
   /// Re-checks the NPSF trigger after a write touched site `site`:
   /// refreshes the cached neighbour-value lane words from the site's
   /// new contents, matches all lanes' patterns bit-parallel (four
   /// XOR/OR ops across the direction caches) and forces the victims of
   /// the matching lanes registered on this site.
-  void apply_npsf(std::size_t site, const CellFaults& f);
+  void apply_npsf(std::size_t site, const NpsfFaults& f);
 
   /// Latches the decayed value into the victim site's lane word for
   /// every retention lane in `m` whose charge has expired on the
@@ -247,23 +317,40 @@ class PackedFaultRamT {
   /// Patches a read of plane `plane` for the decoder lanes registered
   /// on it: wrong-access lanes read their alias cell, multi-access
   /// lanes read the wired-AND of both opened cells.
-  [[nodiscard]] W apply_af_read(W value, const CellFaults& f, unsigned plane);
+  [[nodiscard]] W apply_af_read(W value, const DecoderFaults& f,
+                                unsigned plane);
 
   /// Lands a write of `value` in plane `plane` of the alias cells of
   /// the wrong/multi decoder lanes registered on the addressed site
   /// (the write to the addressed site itself was already suppressed
   /// for wrong-access lanes by the caller).
-  void apply_af_write(const W& value, const CellFaults& f, unsigned plane);
+  void apply_af_write(const W& value, const DecoderFaults& f,
+                      unsigned plane);
+
+  /// One plane's read (the part read() and read_word() share): one
+  /// index load for a fault-free site, read_faulty() otherwise.
+  W read_site(std::size_t site, unsigned plane);
+
+  /// A read of faulty site `site` (slots `s`) through its retention,
+  /// read-logic and decoder records.
+  W read_faulty(std::size_t site, const SiteSlots& s, unsigned plane);
 
   Addr size_;
   unsigned width_;
   std::vector<W> data_;
-  /// Site -> index into slots_, -1 for fault-free sites — the hot path
-  /// pays one branch per access and only faulty sites (a handful per
-  /// lane) touch a CellFaults record.
+  /// Site -> index into site_slots_, -1 for fault-free sites — the hot
+  /// path pays one index load and branch per access, and only faulty
+  /// sites look up their families' records.
   std::vector<std::int16_t> slot_of_site_;
-  std::vector<CellFaults> slots_;
+  std::vector<SiteSlots> site_slots_;
   std::vector<std::size_t> dirty_sites_;
+  FamilyTable<WriteFaults, kWrite, kLanes> write_faults_;
+  FamilyTable<ReadFaults, kRead, kLanes> read_faults_;
+  FamilyTable<CouplingFaults, kCoupling, 2 * kLanes> coupling_faults_;
+  FamilyTable<DecoderFaults, kDecoder, kLanes * kMaxWidth> decoder_faults_;
+  /// Retention lanes per victim site.
+  FamilyTable<W, kRetention, kLanes> retention_faults_;
+  FamilyTable<NpsfFaults, kNpsf, 5 * kLanes> npsf_faults_;
   /// Per-lane second-site metadata, only read for lanes registered in
   /// a coupling/bridge/decoder/NPSF mask.  Coupling, bridge and NPSF
   /// lanes store the victim *site*; the AF kinds store the alias
@@ -293,16 +380,6 @@ class PackedFaultRamT {
   std::array<std::uint64_t, kLanes> drf_refreshed_{};
   std::array<std::uint64_t, kLanes> drf_delay_{};
   unsigned lanes_used_ = 0;
-  /// True once any lane holds a two-cell (coupling/bridge) fault —
-  /// single-cell-only batches skip the coupling fire step on every
-  /// write without even loading the per-site coupling masks.
-  bool has_two_cell_ = false;
-  /// True once any lane holds a decoder fault — batches without one
-  /// skip the remap patches on every access.
-  bool has_af_ = false;
-  /// Same gates for the NPSF re-check and the retention clock math.
-  bool has_npsf_ = false;
-  bool has_drf_ = false;
   /// True once any lane holds a stuck-open fault — only those lanes
   /// read the sense-amp history back, so batches without one skip the
   /// per-read store into last_read_.
@@ -320,50 +397,85 @@ class PackedFaultRamT {
 /// layer and test suite grew up on.
 using PackedFaultRam = PackedFaultRamT<LaneWord>;
 
-// The packed member definitions live in packed_fault_ram.cpp with
-// explicit instantiations for the supported lane words; only the
-// per-access hot path is inline here.
-extern template class PackedFaultRamT<LaneWord>;
-extern template class PackedFaultRamT<WideWord<4>>;
-extern template class PackedFaultRamT<WideWord<8>>;
+template <typename W>
+inline W PackedFaultRamT<W>::read_site(std::size_t site, unsigned plane) {
+  const std::int16_t slot = slot_of_site_[site];
+  if (slot < 0) return data_[site];
+  return read_faulty(site, site_slots_[static_cast<std::size_t>(slot)],
+                     plane);
+}
+
+template <typename W>
+inline W PackedFaultRamT<W>::read_faulty(std::size_t site, const SiteSlots& s,
+                                         unsigned plane) {
+  // DRF: expired charges latch their decayed value before the sense
+  // amp looks (FaultyRam::physical_read applies retention first).
+  if (const W* drf = retention_faults_.find(s)) apply_retention(site, *drf);
+  W value = data_[site];
+  if (const ReadFaults* f = read_faults_.find(s)) {
+    // RDF: the cell flips and the sense amp sees the flipped value.
+    value ^= f->rdf;
+    // DRDF: the correct value is returned, the cell flips behind the
+    // reader's back.
+    data_[site] = value ^ f->drdf;
+    // IRF: inverted data on the bus, cell untouched.
+    value ^= f->irf;
+    // SOF: the open cell echoes the sense amp's previous read.
+    value = (value & ~f->sof) | (last_read_[plane] & f->sof);
+  }
+  if (const DecoderFaults* f = decoder_faults_.find(s)) {
+    // Decoder lanes: a no-access read floats the bus (reads zeros), a
+    // wrong/multi access reads the alias cell (wired-AND for multi).
+    // Pure bus-level patches — the addressed cell keeps its state.
+    value &= ~f->no;
+    if (lane_any(f->wrong | f->multi)) {
+      value = apply_af_read(value, *f, plane);
+    }
+  }
+  // Coupling/NPSF lanes are untouched by reads: their lane has no
+  // read-logic fault, and a read never changes the bits a condition
+  // watches (FaultyRam likewise only enforces conditions on writes).
+  return value;
+}
+
+template <typename W>
+inline W PackedFaultRamT<W>::land(std::size_t site, const SiteSlots& s,
+                                  const W& value, unsigned plane) {
+  const W old = data_[site];
+  W nb = value;
+  // A lane holds exactly one fault, so the per-kind masks are
+  // lane-disjoint and the sequential updates below never interact
+  // across kinds.
+  if (const WriteFaults* f = write_faults_.find(s)) {
+    nb ^= f->wdf & ~(old ^ nb);  // WDF: non-transition write disturbs
+    nb &= ~(f->tf_up & ~old);    // TF up: 0 -> 1 writes fail
+    nb |= f->tf_down & old;      // TF down: 1 -> 0 writes fail
+    nb = (nb & ~f->saf0) | f->saf1;
+  }
+  const DecoderFaults* af = decoder_faults_.find(s);
+  if (af != nullptr) {
+    // Decoder lanes: a no-access or wrong-access write never reaches
+    // the addressed cell; wrong/multi lanes land the raw value in
+    // their alias cell instead (no other fault lives in those lanes).
+    const W suppressed = af->no | af->wrong;
+    nb = (nb & ~suppressed) | (old & suppressed);
+  }
+  data_[site] = nb;
+  if (af != nullptr && lane_any(af->wrong | af->multi)) {
+    apply_af_write(value, *af, plane);
+  }
+  // A write refreshes the charge of every retention victim in the cell
+  // (FaultyRam stamps refreshed_at_ right after the word lands).
+  if (const W* drf = retention_faults_.find(s)) refresh_retention(*drf);
+  return nb;
+}
 
 template <typename W>
 inline W PackedFaultRamT<W>::read(Addr addr) {
   assert(addr < size_);
   assert(width_ == 1);
   ++reads_;
-  W value;
-  const std::int16_t slot = slot_of_site_[addr];
-  if (slot >= 0) {
-    const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-    // DRF: expired charges latch their decayed value before the sense
-    // amp looks (FaultyRam::physical_read applies retention first).
-    if (has_drf_ && lane_any(f.drf)) apply_retention(addr, f.drf);
-    value = data_[addr];
-    // RDF: the cell flips and the sense amp sees the flipped value.
-    value ^= f.rdf;
-    // DRDF: the correct value is returned, the cell flips behind the
-    // reader's back.
-    data_[addr] = value ^ f.drdf;
-    // IRF: inverted data on the bus, cell untouched.
-    value ^= f.irf;
-    // SOF: the open cell echoes the sense amp's previous read.
-    value = (value & ~f.sof) | (last_read_[0] & f.sof);
-    // Decoder lanes: a no-access read floats the bus (reads zeros), a
-    // wrong/multi access reads the alias cell (wired-AND for multi).
-    // Pure bus-level patches — the addressed cell keeps its state.
-    if (has_af_) {
-      value &= ~f.af_no;
-      if (lane_any(f.af_wrong | f.af_multi)) {
-        value = apply_af_read(value, f, 0);
-      }
-    }
-    // Coupling/NPSF lanes are untouched by reads: their lane has no
-    // read-logic fault, and a read never changes the bits a condition
-    // watches (FaultyRam likewise only enforces conditions on writes).
-  } else {
-    value = data_[addr];
-  }
+  const W value = read_site(addr, 0);
   if (has_sof_) last_read_[0] = value;
   return value;
 }
@@ -373,42 +485,30 @@ inline void PackedFaultRamT<W>::write(Addr addr, W value) {
   assert(addr < size_);
   assert(width_ == 1);
   ++writes_;
-  const W old = data_[addr];
-  W nb = value;
   const std::int16_t slot = slot_of_site_[addr];
   if (slot < 0) {
-    data_[addr] = nb;
+    data_[addr] = value;
     return;
   }
-  // A lane holds exactly one fault, so the per-kind masks are
-  // lane-disjoint and the sequential updates below never interact
-  // across kinds.
-  const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-  nb ^= f.wdf & ~(old ^ nb);   // WDF: non-transition write disturbs
-  nb &= ~(f.tf_up & ~old);     // TF up: 0 -> 1 writes fail
-  nb |= f.tf_down & old;       // TF down: 1 -> 0 writes fail
-  nb = (nb & ~f.saf0) | f.saf1;
-  if (has_af_) {
-    // Decoder lanes: a no-access or wrong-access write never reaches
-    // the addressed cell; wrong/multi lanes land the raw value in
-    // their alias cell instead (no other fault lives in those lanes).
-    const W suppressed = f.af_no | f.af_wrong;
-    nb = (nb & ~suppressed) | (old & suppressed);
-    data_[addr] = nb;
-    if (lane_any(f.af_wrong | f.af_multi)) apply_af_write(value, f, 0);
-  } else {
-    data_[addr] = nb;
-  }
-  // A write refreshes the charge of every retention victim in the cell
-  // (FaultyRam stamps refreshed_at_ right after the word lands).
-  if (has_drf_ && lane_any(f.drf)) refresh_retention(f.drf);
-  if (has_two_cell_ && lane_any(f.coupling_any())) {
-    apply_coupling(addr, old, nb, f);
+  const SiteSlots& s = site_slots_[static_cast<std::size_t>(slot)];
+  const W old = data_[addr];
+  const W now = land(addr, s, value, 0);
+  if (const CouplingFaults* f = coupling_faults_.find(s)) {
+    apply_coupling(addr, old, now, *f);
   }
   // NPSF is re-checked on every write to a neighbourhood site, even a
   // non-transition one (FaultyRam enforces conditions after every
   // physical_write).
-  if (has_npsf_ && lane_any(f.npsf_any())) apply_npsf(addr, f);
+  if (const NpsfFaults* f = npsf_faults_.find(s)) apply_npsf(addr, *f);
 }
+
+// The packed member definitions live in packed_fault_ram.cpp with
+// explicit instantiations for the supported lane words; only the
+// per-access hot path above is inline.  These declarations must follow
+// the inline definitions: before them, GCC treats the hot path's body
+// as unavailable and calls it out of line from every replay loop.
+extern template class PackedFaultRamT<LaneWord>;
+extern template class PackedFaultRamT<WideWord<4>>;
+extern template class PackedFaultRamT<WideWord<8>>;
 
 }  // namespace prt::mem

@@ -434,5 +434,56 @@ TEST(MarchFaultDropping, BatchWithInertLaneReplaysFullTest) {
   EXPECT_EQ(got.sched.replayed_ops, full_ops);
 }
 
+// Batches are filled kind by kind: DRDF lanes, which March C- never
+// detects (every read of a cell is followed by a write that masks the
+// flip, or is the last access), interleaved with SAF lanes in universe
+// order share a batch with each other.  The SAF0 and SAF1 batches stop
+// at their own last latch and only the DRDF batch runs the whole test;
+// packed in universe order, both full batches would carry a DRDF lane
+// and run to the end.
+TEST(MarchFaultDropping, GroupedBatchesKeepNeverLatchingLanesTogether) {
+  const mem::Addr n = 64;
+  std::vector<mem::Fault> universe;
+  std::vector<mem::Fault> saf0;
+  std::vector<mem::Fault> saf1;
+  std::vector<std::size_t> undetected;
+  for (mem::Addr c = 0; c < n; ++c) {
+    saf0.push_back(mem::Fault::saf({c, 0}, 0));
+    saf1.push_back(mem::Fault::saf({c, 0}, 1));
+    universe.push_back(saf0.back());
+    universe.push_back(saf1.back());
+    if (c == 5 || c == 50) {
+      undetected.push_back(universe.size());
+      universe.push_back(mem::Fault::drdf({c, 0}));
+    }
+  }
+  const auto test = march::march_c_minus();
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  const auto reference = serial_reference(universe, test, opt);
+  ASSERT_EQ(reference.escapes, undetected);
+  const std::uint64_t full_ops = reference.ops / reference.overall.total;
+  // Each SAF batch on its own, run until its last lane latches.
+  const core::OpTranscript transcript =
+      march::make_march_transcript(test, n, /*background=*/false);
+  std::uint64_t saf_ops = 0;
+  for (const auto* batch : {&saf0, &saf1}) {
+    mem::PackedFaultRam ram(n);
+    for (const mem::Fault& f : *batch) ram.add_fault(f);
+    const auto verdict =
+        march::run_march_packed(ram, transcript, {.early_abort = true});
+    ASSERT_EQ(verdict.detected, ram.active_mask());
+    saf_ops += ram.ops();
+  }
+  ASSERT_LT(saf_ops, full_ops);
+  analysis::MarchEngineOptions eng;
+  eng.threads = 1;
+  eng.lane_width = 64;
+  const auto got = analysis::run_march_campaign(universe, test, opt, eng);
+  expect_identical(reference, got);
+  EXPECT_EQ(got.packed_faults, universe.size());
+  EXPECT_EQ(got.sched.replayed_ops, saf_ops + full_ops);
+}
+
 }  // namespace
 }  // namespace prt

@@ -377,6 +377,157 @@ TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
   }
 }
 
+// Stacked families: every fault family registers on the same hub sites
+// at once.  A hub is the victim of write-kind and read-logic lanes, the
+// aggressor of coupling lanes and the victim of a CFst lane, a bridge
+// endpoint, a decoder address and a decoder alias, a retention victim,
+// and the base or a neighbour of NPSF lanes — so one faulty site holds
+// records in every family's table.  Random traffic with pauses must
+// still match a FaultyRam per lane, at every lane width.
+std::vector<mem::Fault> stacked_family_faults(mem::Addr cols, mem::Addr n,
+                                              std::size_t count) {
+  // Hubs sit two cells in from the border, so the NPSF lanes whose
+  // neighbourhood includes a hub are complete (not inert).
+  std::vector<mem::Addr> hubs;
+  for (mem::Addr row = 2; row + 2 < n / cols; ++row) {
+    for (mem::Addr col = 2; col + 2 < cols; ++col) {
+      hubs.push_back(row * cols + col);
+    }
+  }
+  std::vector<mem::Fault> faults;
+  for (unsigned i = 0; faults.size() < count; ++i) {
+    const mem::Addr h = hubs[(i / 24) % hubs.size()];
+    const mem::Addr other = (h + 1 + i % 5) % n;  // never the hub
+    const mem::BitRef hub{h, 0};
+    const mem::BitRef peer{other, 0};
+    const unsigned bit = (i / 24) & 1U;
+    switch (i % 24) {
+      case 0: faults.push_back(mem::Fault::saf(hub, 0)); break;
+      case 1: faults.push_back(mem::Fault::saf(hub, 1)); break;
+      case 2: faults.push_back(mem::Fault::tf(hub, true)); break;
+      case 3: faults.push_back(mem::Fault::tf(hub, false)); break;
+      case 4: faults.push_back(mem::Fault::wdf(hub)); break;
+      case 5: faults.push_back(mem::Fault::rdf(hub)); break;
+      case 6: faults.push_back(mem::Fault::drdf(hub)); break;
+      case 7: faults.push_back(mem::Fault::irf(hub)); break;
+      case 8: faults.push_back(mem::Fault::sof(hub)); break;
+      case 9: faults.push_back(mem::Fault::cf_in(peer, hub)); break;
+      case 10:
+        faults.push_back(mem::Fault::cf_id(peer, hub, true, bit));
+        break;
+      case 11:
+        faults.push_back(mem::Fault::cf_id(peer, hub, false, bit));
+        break;
+      case 12: faults.push_back(mem::Fault::cf_st(hub, peer, bit, 1)); break;
+      case 13: faults.push_back(mem::Fault::cf_st(peer, hub, bit, 0)); break;
+      case 14: faults.push_back(mem::Fault::bridge(hub, peer, true)); break;
+      case 15: faults.push_back(mem::Fault::bridge(peer, hub, false)); break;
+      case 16: faults.push_back(mem::Fault::af_no_access(h)); break;
+      case 17: faults.push_back(mem::Fault::af_wrong_access(h, other)); break;
+      case 18: faults.push_back(mem::Fault::af_multi_access(h, other)); break;
+      case 19: faults.push_back(mem::Fault::af_wrong_access(other, h)); break;
+      case 20:
+        faults.push_back(mem::Fault::retention(hub, bit, 1 + (i % 7) * 13));
+        break;
+      case 21:
+        faults.push_back(mem::Fault::npsf_static(hub, i % 16, bit, cols));
+        break;
+      case 22:  // the hub is the west neighbour
+        faults.push_back(
+            mem::Fault::npsf_static({h + 1, 0}, i % 16, bit, cols));
+        break;
+      case 23:  // the hub is the south neighbour
+        faults.push_back(
+            mem::Fault::npsf_static({h - cols, 0}, i % 16, bit, cols));
+        break;
+    }
+  }
+  return faults;
+}
+
+template <typename W>
+W random_lane_word(std::uint64_t& x) {
+  if constexpr (mem::is_wide_lane_word_v<W>) {
+    W w{};
+    for (std::uint64_t& limb : w.limb) limb = next_rand(x);
+    return w;
+  } else {
+    return next_rand(x);
+  }
+}
+
+template <typename W>
+void check_stacked_families() {
+  constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
+  const mem::Addr cols = 8;
+  const mem::Addr n = 64;  // 8 x 8 grid
+  const std::vector<mem::Fault> faults = stacked_family_faults(cols, n, kLanes);
+  mem::PackedFaultRamT<W> packed(n);
+  std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
+  for (const mem::Fault& f : faults) {
+    packed.add_fault(f);
+    scalars.push_back(std::make_unique<mem::FaultyRam>(n, 1));
+    scalars.back()->inject(f);
+  }
+  ASSERT_EQ(packed.lanes_used(), kLanes);
+  for (mem::Addr addr = 0; addr < n; ++addr) {
+    const W got = packed.peek(addr);
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+      ASSERT_EQ(mem::lane_test(got, lane), scalars[lane]->peek(addr) != 0)
+          << "lanes=" << kLanes << " post-inject cell " << addr << " lane "
+          << lane << " (" << faults[lane].describe() << ")";
+    }
+  }
+  std::uint64_t x = 0x57AC4ED;
+  for (int step = 0; step < 3000; ++step) {
+    if (next_rand(x) % 7 == 0) {
+      const std::uint64_t ticks = 1 + next_rand(x) % 40;
+      packed.advance_time(ticks);
+      for (auto& scalar : scalars) scalar->advance_time(ticks);
+      continue;
+    }
+    const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
+    if (next_rand(x) & 1) {
+      const W value = random_lane_word<W>(x);
+      packed.write(addr, value);
+      for (unsigned lane = 0; lane < kLanes; ++lane) {
+        scalars[lane]->write(
+            addr, static_cast<mem::Word>(mem::lane_test(value, lane)), 0);
+      }
+    } else {
+      const W got = packed.read(addr);
+      for (unsigned lane = 0; lane < kLanes; ++lane) {
+        ASSERT_EQ(mem::lane_test(got, lane), scalars[lane]->read(addr, 0) != 0)
+            << "lanes=" << kLanes << " step " << step << " lane " << lane
+            << " (" << faults[lane].describe() << ")";
+      }
+    }
+  }
+}
+
+TEST(PackedFaultRam, StackedFamiliesOnSharedSitesMatchScalar64) {
+  check_stacked_families<mem::LaneWord>();
+}
+
+TEST(PackedFaultRam, StackedFamiliesOnSharedSitesMatchScalar256) {
+  check_stacked_families<mem::WideWord<4>>();
+}
+
+TEST(PackedFaultRam, StackedFamiliesOnSharedSitesMatchScalar512) {
+  check_stacked_families<mem::WideWord<8>>();
+}
+
+// The constructor validates before it sizes anything: a width past 32
+// is invalid_argument even when cells * width could never be allocated
+// (a size_t past max_size would otherwise surface as length_error).
+TEST(PackedFaultRam, ConstructorValidatesBeforeAllocating) {
+  constexpr mem::Addr kHuge = 0xFFFFFFFFu;
+  EXPECT_THROW(mem::PackedFaultRam(kHuge, 0xFFFFFFFFu), std::invalid_argument);
+  EXPECT_THROW(mem::PackedFaultRamT<mem::WideWord<8>>(kHuge, 0xFFFFFFFFu),
+               std::invalid_argument);
+  EXPECT_THROW(mem::PackedFaultRam(0, 0xFFFFFFFFu), std::invalid_argument);
+}
+
 // --- packed PRT evaluation ---------------------------------------------
 
 TEST(RunPrtPacked, SchemePackability) {
@@ -995,6 +1146,60 @@ TEST(FaultDropping, BatchWithInertLaneReplaysFullTranscript) {
   expect_identical(reference, got);
   EXPECT_EQ(got.packed_faults, universe.size());
   EXPECT_EQ(got.sched.replayed_ops, full_ops);
+}
+
+// Batches are filled kind by kind, so never-latching lanes (inert
+// border NPSF) interleaved with SAF lanes in universe order share a
+// batch with each other, not with the SAF lanes: the SAF0 and SAF1
+// batches drop at their own latch points and only the NPSF batch
+// replays the whole transcript.  Packed in universe order, both full
+// batches would carry an inert lane and replay to the end.
+TEST(FaultDropping, GroupedBatchesKeepNeverLatchingLanesTogether) {
+  const mem::Addr n = 64;
+  const mem::Addr cols = 8;
+  std::vector<mem::Fault> universe;
+  std::vector<mem::Fault> saf0;
+  std::vector<mem::Fault> saf1;
+  std::vector<std::size_t> inert;
+  for (mem::Addr c = 0; c < n; ++c) {
+    saf0.push_back(mem::Fault::saf({c, 0}, 0));
+    saf1.push_back(mem::Fault::saf({c, 0}, 1));
+    universe.push_back(saf0.back());
+    universe.push_back(saf1.back());
+    if (c == 5 || c == 50) {
+      inert.push_back(universe.size());
+      // Row-0 victim: an incomplete neighbourhood, never fires.
+      universe.push_back(mem::Fault::npsf_static({c % cols, 0}, 0xF, 1, cols));
+    }
+  }
+  const auto scheme = core::extended_scheme_bom(n);
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  const auto reference = serial_scalar_reference(universe, scheme, opt);
+  ASSERT_EQ(reference.escapes, inert);
+  const std::uint64_t full_ops = reference.ops / reference.overall.total;
+  // Each SAF batch on its own, replayed until its last lane latches.
+  const auto oracle = core::make_prt_oracle(scheme, n);
+  const core::OpTranscript transcript =
+      core::make_op_transcript(scheme, oracle);
+  core::PackedScratch scratch;
+  std::uint64_t saf_ops = 0;
+  for (const auto* batch : {&saf0, &saf1}) {
+    mem::PackedFaultRam ram(n);
+    for (const mem::Fault& f : *batch) ram.add_fault(f);
+    const auto verdict =
+        core::run_prt_packed(ram, transcript, {.early_abort = true}, scratch);
+    ASSERT_EQ(verdict.detected, ram.active_mask());
+    saf_ops += ram.ops();
+  }
+  ASSERT_LT(saf_ops, full_ops);
+  analysis::EngineOptions eng;
+  eng.threads = 1;
+  eng.lane_width = 64;
+  const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
+  expect_identical(reference, got);
+  EXPECT_EQ(got.packed_faults, universe.size());
+  EXPECT_EQ(got.sched.replayed_ops, saf_ops + full_ops);
 }
 
 }  // namespace
