@@ -1,27 +1,29 @@
 // The one generic campaign driver both public campaign types are
 // instances of.
 //
-//   CampaignDriver<Workload>  — options validation, the lazy pool, the
-//     sharded run() and the per-shard width dispatch, written once
-//     over the campaign_shard.hpp loops;
+//   CampaignDriver<Workload>  — options validation, the up-front
+//     universe check, the lazy pool, the sharded run() and the
+//     per-shard width dispatch, written once over the
+//     campaign_shard.hpp loops;
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
-//     golden artifacts are fetched from the analysis::OracleCache,
-//     whether the workload is lane-packable at all, how one lane batch
-//     (64, 256 or 512 lanes) runs on the packed replay, and how one
-//     fault runs on the live reference (run_prt / run_march on a
-//     rewound FaultyRam).
+//     golden transcript is fetched from the analysis::OracleCache and
+//     how one lane batch (64, 256 or 512 lanes) runs on the packed
+//     replay.
 //
-// A packable workload always packs: the packed replay is the product
-// path, and run_fault serves only what cannot ride a lane — a
-// non-packable workload (word-oriented March, a scheme whose field
-// degree differs from the word width) and the lane-incompatible
-// residue (CFst trigger state > 1, a bit plane past the word width).
+// Every fault of every workload rides the packed replay: bit- and
+// word-oriented PRT, and March over one background (m = 1) or over
+// the whole background sweep of an m-bit word.  A workload that
+// cannot pack (a scheme whose field degree differs from the word
+// width, or that core::prt_scheme_packable rejects) throws at
+// construction.  The live run_prt / run_march stay the differential
+// reference behind run_campaign only.
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; the parity suites in tests/ pin
 // their results to run_campaign over the live reference.
 // CampaignSuite (campaign_suite.hpp) and CampaignService drive the
-// same workloads shard by shard on their own schedules.
+// same workloads shard by shard on their own schedules, after the same
+// up-front universe check.
 //
 // Header is internal to analysis/ (included by the campaign .cpp files
 // only); the public surfaces are campaign_engine.hpp,
@@ -33,7 +35,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "analysis/campaign_engine.hpp"
@@ -42,7 +43,8 @@
 #include "analysis/oracle_cache.hpp"
 #include "core/prt_packed.hpp"
 #include "march/march_runner.hpp"
-#include "mem/fault_injector.hpp"
+#include "mem/fault.hpp"
+#include "util/bitops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace prt::analysis::detail {
@@ -59,62 +61,35 @@ namespace prt::analysis::detail {
   return early_abort ? abort_ops : std::uint64_t{lanes} * t.total_ops();
 }
 
-/// PRT-scheme workload: golden artifacts from OracleCache::prt, packed
-/// batches over core::run_prt_packed, per-fault runs over the live
-/// core::run_prt with the cached oracle.
+/// PRT-scheme workload: the golden transcript from OracleCache::prt,
+/// packed batches over core::run_prt_packed.
 class PrtWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt`
-  /// (validate_campaign_options).
+  /// (validate_campaign_options) and on a scheme the packed replay
+  /// cannot run: one core::prt_scheme_packable rejects, or one whose
+  /// field degree differs from the campaign word width opt.m (the
+  /// packed ram carries one bit plane per field bit, and the
+  /// transcript's tap matrices must line up with them).
   PrtWorkload(core::PrtScheme scheme, const CampaignOptions& opt,
               bool early_abort, OracleCache& cache)
       : scheme_(std::move(scheme)), early_abort_(early_abort) {
     validate_campaign_options(opt);
-    entry_ = cache.prt(scheme_, opt.n);
-    // Lane batching needs the campaign word width to equal the
-    // scheme's field degree: the packed ram then carries one bit plane
-    // per field bit and the transcript's tap matrices line up.
-    packable_ = entry_->packable && entry_->transcript.width == opt.m;
-  }
-
-  /// Per-shard mutable state: one rewindable FaultyRam and the packed
-  /// replay scratches (one per lane width the dispatch may pick; the
-  /// unused ones never allocate — PackedScratchT vectors grow on first
-  /// use), owned by exactly one worker at a time.
-  struct ShardState {
-    explicit ShardState(const CampaignOptions& opt)
-        : ram(opt.n, opt.m, opt.ports) {}
-    mem::FaultyRam ram;
-    core::PackedScratchT<mem::LaneWord> scratch64;
-    core::PackedScratchT<mem::WideWord<4>> scratch256;
-    core::PackedScratchT<mem::WideWord<8>> scratch512;
-    template <typename W>
-    core::PackedScratchT<W>& scratch() {
-      if constexpr (std::is_same_v<W, mem::WideWord<8>>) {
-        return scratch512;
-      } else if constexpr (std::is_same_v<W, mem::WideWord<4>>) {
-        return scratch256;
-      } else {
-        return scratch64;
-      }
+    if (!core::prt_scheme_packable(scheme_)) {
+      throw std::invalid_argument(
+          "PRT campaign: scheme '" + scheme_.name +
+          "' cannot run on the packed replay (prt_scheme_packable: field "
+          "degree in [1, 16], window k in [1, 64], seeds and coefficients "
+          "in the field)");
     }
-  };
-
-  /// Lane batching permitted: the campaign word width matches the
-  /// scheme's field degree (GF(2) and GF(2^m) alike).
-  [[nodiscard]] bool packable() const { return packable_; }
-
-  /// Runs one fault on the live reference; returns detected, charges
-  /// its ops.
-  bool run_fault(ShardState& s, const mem::Fault& fault,
-                 std::uint64_t& ops) const {
-    s.ram.reset(fault);
-    const bool detected =
-        core::run_prt(s.ram, scheme_, entry_->oracle,
-                      {.early_abort = early_abort_, .record_iterations = false})
-            .detected();
-    ops += s.ram.total_stats().total();
-    return detected;
+    const int degree = poly_degree(scheme_.field_modulus);
+    if (degree != static_cast<int>(opt.m)) {
+      throw std::invalid_argument(
+          "PRT campaign: scheme '" + scheme_.name + "' works over GF(2^" +
+          std::to_string(degree) + ") but the campaign word width is m = " +
+          std::to_string(opt.m) + "; the field degree must equal m");
+    }
+    entry_ = cache.prt(scheme_, opt.n);
   }
 
   /// Runs one flushed lane batch at the batch's width; returns
@@ -125,10 +100,9 @@ class PrtWorkload {
   /// mask is that of a full replay.
   template <typename W>
   std::pair<W, std::uint64_t> run_batch(
-      ShardState& s, mem::PackedFaultRamT<W>& batch) const {
+      mem::PackedFaultRamT<W>& batch, core::PackedScratchT<W>& scratch) const {
     const core::PackedVerdictT<W> v = core::run_prt_packed(
-        batch, entry_->transcript, {.early_abort = true},
-        s.template scratch<W>());
+        batch, entry_->transcript, {.early_abort = true}, scratch);
     return {v.detected & batch.active_mask(),
             charged_ops(early_abort_, v.scalar_ops, batch.lanes_used(),
                         entry_->transcript)};
@@ -144,12 +118,12 @@ class PrtWorkload {
   core::PrtScheme scheme_;
   std::shared_ptr<const OracleCache::PrtEntry> entry_;
   bool early_abort_;
-  bool packable_ = false;
 };
 
 /// March-test workload: packed batches over the transcript from
-/// OracleCache::march when the campaign is bit-oriented, per-fault
-/// runs over the live background sweep.
+/// OracleCache::march_sweep — one background for a bit-oriented
+/// campaign, the whole march::standard_backgrounds(m) sweep in order
+/// for an m-bit word, exactly what march_algorithm runs live.
 class MarchWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt` and on March
@@ -157,9 +131,7 @@ class MarchWorkload {
   /// data index the background expansion cannot represent).
   MarchWorkload(march::MarchTest test, const CampaignOptions& opt,
                 bool early_abort, OracleCache& cache)
-      : test_(std::move(test)),
-        early_abort_(early_abort),
-        bit_oriented_(opt.m == 1) {
+      : test_(std::move(test)), early_abort_(early_abort) {
     validate_campaign_options(opt);
     for (const march::MarchElement& elem : test_.elements) {
       for (const march::MarchOp& op : elem.ops) {
@@ -170,49 +142,15 @@ class MarchWorkload {
         }
       }
     }
-    backgrounds_ = march::standard_backgrounds(opt.m);
-    // standard_backgrounds' contract: every background fits the m-bit
-    // word.  A wider word would silently mis-expand data index 1
-    // (~background) — reject it here, not in a worker thread.
-    for (const mem::Word bg : backgrounds_) {
-      if (opt.m < 32 && (bg >> opt.m) != 0) {
-        throw std::invalid_argument(
-            "MarchCampaign: background " + std::to_string(bg) +
-            " wider than the m = " + std::to_string(opt.m) + " word");
-      }
-    }
-    // m = 1 has the single background 0, so one compiled transcript
-    // covers the whole background set march_algorithm runs.
-    if (bit_oriented_) {
-      entry_ = cache.march(test_, opt.n, /*background=*/false);
-    }
-  }
-
-  struct ShardState {
-    explicit ShardState(const CampaignOptions& opt)
-        : ram(opt.n, opt.m, opt.ports) {}
-    mem::FaultyRam ram;
-  };
-
-  [[nodiscard]] bool packable() const { return bit_oriented_; }
-
-  /// Same contract as PrtWorkload::run_fault.
-  bool run_fault(ShardState& s, const mem::Fault& fault,
-                 std::uint64_t& ops) const {
-    s.ram.reset(fault);
-    const bool detected = march::run_march_backgrounds(
-                              test_, s.ram, backgrounds_,
-                              {.early_abort = early_abort_})
-                              .fail;
-    ops += s.ram.total_stats().total();
-    return detected;
+    entry_ = cache.march_sweep(test_, opt.n, opt.m);
   }
 
   /// Same contract as PrtWorkload::run_batch; the replay stops at the
-  /// read that latches the last pending lane.
+  /// read that latches the last pending lane.  The March replay keeps
+  /// its plane buffer on the stack, so it needs no scratch.
   template <typename W>
-  std::pair<W, std::uint64_t> run_batch(ShardState&,
-                                        mem::PackedFaultRamT<W>& batch) const {
+  std::pair<W, std::uint64_t> run_batch(mem::PackedFaultRamT<W>& batch,
+                                        core::PackedScratchT<W>&) const {
     const march::MarchPackedVerdictT<W> v = march::run_march_packed(
         batch, entry_->transcript, {.early_abort = true});
     return {v.detected & batch.active_mask(),
@@ -225,16 +163,14 @@ class MarchWorkload {
 
  private:
   march::MarchTest test_;
-  std::vector<mem::Word> backgrounds_;
   std::shared_ptr<const OracleCache::MarchEntry> entry_;
   bool early_abort_;
-  bool bit_oriented_;
 };
 
-/// The generic driver: validated options, lazy pool, sharded fan-out
-/// with the order-deterministic merge, per-shard width dispatch.
-/// Workload supplies the four campaign-type-specific hooks
-/// (ShardState, packable, run_fault, run_batch).
+/// The generic driver: validated options and universe, lazy pool,
+/// sharded fan-out with the order-deterministic merge, per-shard width
+/// dispatch.  Workload supplies the one campaign-type-specific hook,
+/// run_batch.
 template <typename Workload>
 class CampaignDriver {
  public:
@@ -263,12 +199,25 @@ class CampaignDriver {
                                    : mem::default_lane_width();
   }
 
+  /// Throws std::invalid_argument, naming the first malformed fault,
+  /// unless every fault of `universe` fits the campaign memory
+  /// (mem::validate_fault).  run() calls it before any worker starts;
+  /// CampaignSuite and CampaignService call it before they submit a
+  /// shard, so a malformed universe fails the request up front instead
+  /// of inside a worker.
+  void validate_universe(std::span<const mem::Fault> universe) const {
+    for (const mem::Fault& f : universe) {
+      mem::validate_fault(f, opt_.n, opt_.m, "campaign universe");
+    }
+  }
+
   /// Fills one shard over universe indices [begin, end).  Stateless
-  /// across calls (fresh ShardState per shard), so any contiguous
-  /// ascending partition merges — in shard order — to the same
-  /// CampaignResult; CampaignSuite and CampaignService call this
-  /// directly on their own schedules.  Polls `stop` per fault; returns
-  /// false (discard `out`, it is partial) once a stop is observed.
+  /// across calls (fresh packed ram and scratch per shard), so any
+  /// contiguous ascending partition merges — in shard order — to the
+  /// same CampaignResult; CampaignSuite and CampaignService call this
+  /// directly on their own schedules, after validate_universe.  Polls
+  /// `stop` per fault; returns false (discard `out`, it is partial)
+  /// once a stop is observed.
   ///
   /// Width dispatch: the widest requested lane word the range can fill
   /// at least half of — a 512-lane sweep needs >= 256 faults in the
@@ -280,17 +229,13 @@ class CampaignDriver {
   bool run_shard(std::span<const mem::Fault> universe, std::size_t begin,
                  std::size_t end, CampaignResult& out,
                  const util::StopToken& stop = {}) const {
-    if (workload_.packable()) {
-      const std::size_t range = end - begin;
-      const unsigned width = effective_lane_width();
-      if (width >= 512 && range >= 256) {
-        return run_shard_impl<mem::WideWord<8>>(universe, begin, end, out,
-                                                stop);
-      }
-      if (width >= 256 && range >= 128) {
-        return run_shard_impl<mem::WideWord<4>>(universe, begin, end, out,
-                                                stop);
-      }
+    const std::size_t range = end - begin;
+    const unsigned width = effective_lane_width();
+    if (width >= 512 && range >= 256) {
+      return run_shard_impl<mem::WideWord<8>>(universe, begin, end, out, stop);
+    }
+    if (width >= 256 && range >= 128) {
+      return run_shard_impl<mem::WideWord<4>>(universe, begin, end, out, stop);
     }
     return run_shard_impl<mem::LaneWord>(universe, begin, end, out, stop);
   }
@@ -313,10 +258,11 @@ class CampaignDriver {
   [[nodiscard]] CampaignOutcome run_stoppable(
       std::span<const mem::Fault> universe,
       const util::StopToken& stop) const {
+    validate_universe(universe);
     const unsigned workers =
         engine_.threads != 0 ? engine_.threads : util::default_worker_count();
     // Steal-queue batch = 4 lane sweeps at the requested width: big
-    // enough that per-batch ShardState construction amortizes, small
+    // enough that per-batch packed-ram construction amortizes, small
     // enough (vs universe/workers chunks) that idle workers find
     // batches to steal — and every batch above the fallback threshold
     // fills its wide lanes.  Boundaries depend only on universe size
@@ -341,19 +287,13 @@ class CampaignDriver {
   bool run_shard_impl(std::span<const mem::Fault> universe, std::size_t begin,
                       std::size_t end, CampaignResult& out,
                       const util::StopToken& stop) const {
-    typename Workload::ShardState state(opt_);
-    auto run_fault = [&](std::size_t i) {
-      return workload_.run_fault(state, universe[i], out.ops);
-    };
-    if (!workload_.packable()) {
-      return per_fault_shard(universe, begin, end, out, run_fault, stop);
-    }
     mem::PackedFaultRamT<W> packed(opt_.n, opt_.m);
+    core::PackedScratchT<W> scratch;
     auto run_batch = [&](mem::PackedFaultRamT<W>& batch) {
-      return workload_.run_batch(state, batch);
+      return workload_.run_batch(batch, scratch);
     };
     return lane_batched_shard(universe, begin, end, packed, out, run_batch,
-                              run_fault, stop);
+                              stop);
   }
 
   Workload workload_;

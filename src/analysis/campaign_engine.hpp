@@ -19,15 +19,14 @@
 //  * the fault universe is sharded over a worker pool in fixed-size
 //    batches and merged in batch order, so the output is bit-identical
 //    to the serial reference at any thread count;
-//  * whenever the campaign word width equals the scheme's field degree
-//    (GF(2) and GF(2^m) alike) the product path is the packed replay:
-//    lane-compatible faults ride 64, 256 or 512 lanes per sweep of the
-//    cached transcript through core::run_prt_packed, with early abort
-//    composing through per-lane mismatch retirement;
-//  * everything else — non-packable schemes and the lane-incompatible
-//    residue (e.g. degenerate CFst trigger states) — runs per fault on
-//    the live reference, core::run_prt over the cached oracle on a
-//    rewound FaultyRam.
+//  * every fault rides the packed replay: 64, 256 or 512 lanes per
+//    sweep of the cached transcript through core::run_prt_packed
+//    (GF(2) and GF(2^m) alike), with early abort composing through
+//    per-lane mismatch retirement.  The campaign word width must equal
+//    the scheme's field degree; a scheme the replay cannot run throws
+//    at construction instead of falling back to the live reference,
+//    which stays behind run_campaign / prt_algorithm as the test
+//    oracle.
 //
 // See DESIGN.md §7/§8/§9/§10 and bench/bench_campaign.cpp.
 #pragma once
@@ -50,9 +49,10 @@ class CampaignEngine {
  public:
   /// Fetches the per-(scheme, n) artifacts from OracleCache::global()
   /// (building them on first use).  Throws std::invalid_argument on
-  /// malformed options (validate_campaign_options).  Precondition:
-  /// opt.n exceeds the scheme's register length k; opt.m equals the
-  /// scheme field's m.
+  /// malformed options (validate_campaign_options), on a scheme
+  /// core::prt_scheme_packable rejects, and when opt.m differs from
+  /// the degree of the scheme's field.  Precondition: opt.n exceeds
+  /// the scheme's register length k.
   CampaignEngine(core::PrtScheme scheme, const CampaignOptions& opt,
                  const EngineOptions& engine = {});
   ~CampaignEngine();
@@ -62,11 +62,14 @@ class CampaignEngine {
   [[nodiscard]] const core::PrtScheme& scheme() const;
   [[nodiscard]] const core::PrtOracle& oracle() const;
 
-  /// Simulates every fault of the universe.  Identical CampaignResult
-  /// to run_campaign(universe, prt_algorithm(scheme), opt) regardless
-  /// of thread count.  Not safe to call concurrently on one engine
-  /// (workers share the engine's pool); distinct engines are
-  /// independent.
+  /// Simulates every fault of the universe.  Coverage, escapes and
+  /// ops identical to run_campaign(universe, prt_algorithm(scheme),
+  /// opt) regardless of thread count (only the dispatch tallies
+  /// differ: every fault here is packed).  Throws
+  /// std::invalid_argument before any worker starts when a fault does
+  /// not fit the memory (mem::validate_fault).  Not safe to call
+  /// concurrently on one engine (workers share the engine's pool);
+  /// distinct engines are independent.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
   /// Cancellable run: shard loops poll `stop` per fault, interrupted

@@ -877,9 +877,13 @@ struct CampaignService::Impl {
       }
       const EngineOptions engine{.threads = 1,
                                  .early_abort = req.early_abort};
+      // The universe is checked here, once, before any shard task
+      // exists: a malformed fault is the request's error, not a shard
+      // failure to retry.
       if (req.scheme) {
         std::shared_ptr<detail::PrtDriver> driver =
             detail::make_driver(*req.scheme, req.options, engine);
+        driver->validate_universe(req.universe);
         r->run_shard = [driver = std::move(driver)](
                            std::span<const mem::Fault> universe,
                            std::size_t begin, std::size_t end,
@@ -889,6 +893,7 @@ struct CampaignService::Impl {
       } else {
         std::shared_ptr<detail::MarchDriver> driver =
             detail::make_driver(*req.march_test, req.options, engine);
+        driver->validate_universe(req.universe);
         r->run_shard = [driver = std::move(driver)](
                            std::span<const mem::Fault> universe,
                            std::size_t begin, std::size_t end,

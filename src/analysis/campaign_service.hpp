@@ -225,10 +225,10 @@ class CampaignService {
     std::uint64_t shard_retries = 0;
     /// Shard attempts cancelled by the stall watchdog.
     std::uint64_t shard_stalls = 0;
-    /// Dispatch tallies rolled up over every resolved request: faults
-    /// that rode a packed lane batch vs the scalar per-fault path
-    /// (CampaignResult::packed_faults / scalar_faults), plus the
-    /// packed subset that rode a wider-than-64 SIMD lane word
+    /// Dispatch tallies rolled up over every resolved request
+    /// (CampaignResult::packed_faults / scalar_faults — the drivers
+    /// pack every fault, so scalar_faults stays 0), plus the packed
+    /// subset that rode a wider-than-64 SIMD lane word
     /// (CampaignResult::sched.wide_faults).
     std::uint64_t packed_faults = 0;
     std::uint64_t scalar_faults = 0;

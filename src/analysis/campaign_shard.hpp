@@ -1,9 +1,8 @@
 // Internal shard-loop scaffolding under the generic campaign driver
-// (campaign_driver.hpp): per-fault tallying, the per-fault loop of
-// non-packable workloads, the lane-batching loop (64, 256 or 512 lanes
-// per batch, filled kind by kind; lane-incompatible faults on the live
-// reference in place) with its escape re-sort, and the pool fan-out
-// with the order-deterministic merge.  Keeping every campaign type on
+// (campaign_driver.hpp): per-fault tallying, the lane-batching loop
+// (64, 256 or 512 lanes per batch, filled kind by kind) with its
+// escape re-sort, and the pool fan-out with the order-deterministic
+// merge.  Keeping every campaign type on
 // one copy of this machinery is what keeps their bit-identical-to-serial
 // guarantees in lockstep — fix it here, all paths get it.
 //
@@ -43,29 +42,11 @@ inline void tally_fault(CampaignResult& out,
   }
 }
 
-/// Per-fault shard loop for non-packable workloads: run_fault(i) ->
-/// detected, charging its own ops to `out`.  Polls `stop` per fault;
-/// returns false (shard abandoned — `out` is partial and must be
-/// discarded) once a stop is observed, true when the shard ran to
-/// completion.  A default-constructed token never stops, so the poll
-/// is one null check on the non-cancellable paths.
-template <typename RunFault>
-bool per_fault_shard(std::span<const mem::Fault> universe, std::size_t begin,
-                     std::size_t end, CampaignResult& out,
-                     RunFault&& run_fault, const util::StopToken& stop = {}) {
-  for (std::size_t i = begin; i < end; ++i) {
-    if (stop.stop_requested()) return false;
-    tally_fault(out, universe, i, run_fault(i));
-    ++out.scalar_faults;
-  }
-  return true;
-}
-
 /// Number of lane_group() keys: two per fault kind.
 inline constexpr std::size_t kLaneGroups =
     2 * (static_cast<std::size_t>(mem::FaultKind::kDrf) + 1);
 
-/// Batching key of a lane-compatible fault: its kind, split for the
+/// Batching key of a fault: its kind, split for the
 /// two-cell kinds by whether the aggressor cell lies below the victim
 /// (the usual coupling-fault split by aggressor position).  Faults of
 /// one group tend to latch at similar points of a replay, so a batch
@@ -81,28 +62,30 @@ inline constexpr std::size_t kLaneGroups =
   return group;
 }
 
-/// Lane-batched shard loop: compatible faults ride the packed ram
-/// kLanes at a time (64 for the LaneWord instantiation, 256/512 for
-/// the wide words), the residue runs per fault in place on the live
-/// reference.  The compatible faults are packed in lane_group() order
-/// (a stable counting sort of each window of 4 * kLanes indices), so
-/// batches are kind-uniform except where one group ends and the next
-/// begins.
+/// Lane-batched shard loop: the faults ride the packed ram kLanes at
+/// a time (64 for the LaneWord instantiation, 256/512 for the wide
+/// words), packed in lane_group() order (a stable counting sort of
+/// each window of 4 * kLanes indices), so batches are kind-uniform
+/// except where one group ends and the next begins.  The faults must
+/// be well-formed (the driver's validate_universe ran first);
+/// add_fault rejects a malformed one all the same.
 /// run_batch(packed) runs one flushed batch and returns {detected lane
-/// word, ops to charge for the whole batch}; run_fault(i) -> detected
-/// as above.  Escapes are gathered out of order and sorted once —
-/// counts and op sums are order-independent, so the shard output is
-/// bit-identical to the per-fault live reference *and* to itself at
-/// any other lane width or packing order (the per-lane verdicts are
-/// width- and neighbour-invariant; only the sched telemetry records
-/// which width ran and how many packed accesses the batches issued).
-/// Polls `stop` per fault, same contract as per_fault_shard (false =
-/// shard abandoned, discard `out`).
-template <typename W, typename RunBatch, typename RunFault>
+/// word, ops to charge for the whole batch}.  Escapes are gathered out
+/// of order and sorted once — counts and op sums are
+/// order-independent, so the shard output is bit-identical to the
+/// per-fault live reference *and* to itself at any other lane width
+/// or packing order (the per-lane verdicts are width- and
+/// neighbour-invariant; only the sched telemetry records which width
+/// ran and how many packed accesses the batches issued).  Polls `stop`
+/// per fault; returns false (shard abandoned — `out` is partial and
+/// must be discarded) once a stop is observed, true when the shard ran
+/// to completion.  A default-constructed token never stops, so the
+/// poll is one null check on the non-cancellable paths.
+template <typename W, typename RunBatch>
 bool lane_batched_shard(std::span<const mem::Fault> universe,
                         std::size_t begin, std::size_t end,
                         mem::PackedFaultRamT<W>& packed, CampaignResult& out,
-                        RunBatch&& run_batch, RunFault&& run_fault,
+                        RunBatch&& run_batch,
                         const util::StopToken& stop = {}) {
   constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
   std::array<std::size_t, kLanes> batch_index{};
@@ -129,28 +112,17 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
   std::vector<std::size_t> order;
   for (std::size_t window = begin; window < end; window += kWindow) {
     const std::size_t window_end = std::min(end, window + kWindow);
-    // Pass 1: the residue runs in place; the compatible faults are
-    // counted per group.
+    // Stable counting sort of the window into group order, then pack.
     std::array<std::size_t, kLaneGroups + 1> group_start{};
     for (std::size_t i = window; i < window_end; ++i) {
-      if (stop.stop_requested()) return false;
-      if (mem::lane_compatible(universe[i], packed.width())) {
-        ++group_start[lane_group(universe[i]) + 1];
-      } else {
-        tally_fault(out, universe, i, run_fault(i));
-        ++out.scalar_faults;
-      }
+      ++group_start[lane_group(universe[i]) + 1];
     }
-    // Pass 2: stable counting sort of the compatible faults into group
-    // order, then pack.
     for (std::size_t g = 1; g <= kLaneGroups; ++g) {
       group_start[g] += group_start[g - 1];
     }
-    order.resize(group_start[kLaneGroups]);
+    order.resize(window_end - window);
     for (std::size_t i = window; i < window_end; ++i) {
-      if (mem::lane_compatible(universe[i], packed.width())) {
-        order[group_start[lane_group(universe[i])]++] = i;
-      }
+      order[group_start[lane_group(universe[i])]++] = i;
     }
     for (const std::size_t i : order) {
       if (stop.stop_requested()) return false;

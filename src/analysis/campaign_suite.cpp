@@ -22,9 +22,12 @@ struct Prepared {
       run_shard;
 };
 
+/// Throws std::invalid_argument on a malformed universe
+/// (CampaignDriver::validate_universe), before any shard is scheduled.
 template <typename Driver>
 Prepared prepared_from(std::shared_ptr<Driver> driver,
                        std::vector<mem::Fault> universe, std::string name) {
+  driver->validate_universe(universe);
   Prepared p;
   p.universe = std::move(universe);
   p.name = std::move(name);

@@ -72,13 +72,15 @@ struct CampaignResult {
   /// every fault's run — the campaign-level cost figure early-abort
   /// shrinks (analysis/campaign_engine).
   std::uint64_t ops = 0;
-  /// Dispatch tallies: faults that rode a packed lane batch vs the
-  /// scalar per-fault path.  packed_faults + scalar_faults ==
-  /// overall.total; a fully lane-compatible universe on a packed
-  /// engine has scalar_faults == 0 (the bench asserts exactly that via
-  /// its packed_fraction field).  Verdict-neutral telemetry — the
-  /// parity suites compare verdict fields only, since the whole point
-  /// of packing is that the split never changes the result.
+  /// Dispatch tallies: faults that rode a packed lane batch vs a
+  /// per-fault live run.  packed_faults + scalar_faults ==
+  /// overall.total.  The campaign drivers pack every fault
+  /// (scalar_faults == 0); run_campaign runs every fault live
+  /// (packed_faults == 0).  They never change a verdict, but operator==
+  /// compares them, so a driver result equals another driver result
+  /// (any thread count, any lane width) and never a run_campaign
+  /// result: parity suites against the live reference compare the
+  /// verdict fields and ops field by field instead.
   std::uint64_t packed_faults = 0;
   std::uint64_t scalar_faults = 0;
   /// Execution telemetry (batches, steals, lane widths) — NOT part of

@@ -7,22 +7,20 @@
 // March workload — the same driver, pool, shard loops and
 // order-deterministic merge CampaignEngine runs on:
 //
-//  * for bit-oriented (m = 1) campaigns the golden March run is
-//    compiled once per (test, n, background) into a flat
-//    core::OpTranscript, cached in the process-wide
-//    analysis::OracleCache and shared by every campaign over the same
-//    test; lane-compatible faults (every standard family, decoder,
-//    NPSF and retention kinds included) ride 64, 256 or 512 lanes per
-//    sweep through march::run_march_packed, and the merged
-//    CampaignResult — coverage, per-class counts, escapes and op
-//    totals — is bit-identical to run_campaign(universe,
+//  * the golden March run is compiled once into a flat
+//    core::OpTranscript — one background for a bit-oriented (m = 1)
+//    campaign, the whole standard background sweep in order for an
+//    m-bit word — cached in the process-wide analysis::OracleCache and
+//    shared by every campaign over the same test;
+//  * every fault (every standard family, decoder, NPSF and retention
+//    kinds included) rides 64, 256 or 512 lanes per sweep through
+//    march::run_march_packed, on one lane word per bit plane when
+//    m > 1, and the merged coverage, per-class counts, escapes and op
+//    totals are bit-identical to run_campaign(universe,
 //    march_algorithm(test), opt).  Early abort composes with packing:
 //    lanes retire at their first mismatching read with analytic
 //    per-lane op accounting identical to the abort-aware live
-//    run_march reference;
-//  * word-oriented (m > 1) campaigns and the lane-incompatible residue
-//    run per fault on the live reference, march::run_march_backgrounds
-//    over the standard data backgrounds, still sharded over the pool.
+//    run_march_backgrounds reference.
 //
 // See DESIGN.md §8/§9/§10 and bench/bench_campaign.cpp's March
 // section.
@@ -47,10 +45,11 @@ using MarchEngineOptions = EngineOptions;
 
 class MarchCampaign {
  public:
-  /// Fetches the per-(test, n, background) transcript from
-  /// OracleCache::global() when m = 1.  Throws std::invalid_argument
-  /// on malformed options (validate_campaign_options) and on March
-  /// tests with data indices outside {0, 1}.
+  /// Fetches the per-(test, n, m) transcript from
+  /// OracleCache::global() (building it on first use).  Throws
+  /// std::invalid_argument on malformed options
+  /// (validate_campaign_options) and on March tests with data indices
+  /// outside {0, 1}.
   MarchCampaign(march::MarchTest test, const CampaignOptions& opt,
                 const MarchEngineOptions& engine = {});
   ~MarchCampaign();
@@ -59,10 +58,14 @@ class MarchCampaign {
 
   [[nodiscard]] const march::MarchTest& test() const;
 
-  /// Simulates every fault of the universe.  Identical CampaignResult
-  /// to run_campaign(universe, march_algorithm(test), opt) regardless
-  /// of thread count.  Not safe to call concurrently on one campaign
-  /// (workers share its pool); distinct campaigns are independent.
+  /// Simulates every fault of the universe.  Coverage, escapes and
+  /// ops identical to run_campaign(universe, march_algorithm(test),
+  /// opt) regardless of thread count (only the dispatch tallies
+  /// differ: every fault here is packed).  Throws
+  /// std::invalid_argument before any worker starts when a fault does
+  /// not fit the memory (mem::validate_fault).  Not safe to call
+  /// concurrently on one campaign (workers share its pool); distinct
+  /// campaigns are independent.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
   /// Cancellable run: shard loops poll `stop` per fault, interrupted

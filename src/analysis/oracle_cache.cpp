@@ -146,8 +146,7 @@ std::shared_ptr<const OracleCache::PrtEntry> OracleCache::prt(
   return lookup(&OracleCache::prt_, 'p', std::move(key), prt_builds_, [&] {
     PrtEntry entry;
     entry.oracle = core::make_prt_oracle(scheme, n);
-    entry.packable = core::prt_scheme_packable(scheme);
-    if (entry.packable) {
+    if (core::prt_scheme_packable(scheme)) {
       entry.transcript = core::make_op_transcript(scheme, entry.oracle);
     }
     return entry;
@@ -164,6 +163,21 @@ std::shared_ptr<const OracleCache::MarchEntry> OracleCache::march(
                 [&] {
                   return MarchEntry{march::make_march_transcript(
                       test, n, background, delay_ticks)};
+                });
+}
+
+std::shared_ptr<const OracleCache::MarchEntry> OracleCache::march_sweep(
+    const march::MarchTest& test, mem::Addr n, unsigned m,
+    std::uint64_t delay_ticks) {
+  if (m == 1) return march(test, n, false, delay_ticks);
+  std::string key = march::test_fingerprint(test) + "|n=" + std::to_string(n) +
+                    "|m=" + std::to_string(m) +
+                    "|del=" + std::to_string(delay_ticks);
+  return lookup(&OracleCache::march_, 'm', std::move(key), march_builds_,
+                [&] {
+                  return MarchEntry{march::make_march_transcript(
+                      test, n, march::standard_backgrounds(m), m,
+                      delay_ticks)};
                 });
 }
 

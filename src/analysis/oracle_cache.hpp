@@ -2,14 +2,14 @@
 // budgeted LRU so a long-lived service cannot grow without bound.
 //
 // Everything a campaign derives from the workload alone — the
-// PrtOracle, the scheme's packability, the compiled core::OpTranscript
+// PrtOracle and the compiled core::OpTranscript
 // (PRT and March flavours) — depends only on (scheme, n) or on
-// (march test, n, background, delay) and is immutable once built.
-// Before this cache each CampaignEngine / MarchCampaign built its own
-// copy in its constructor, so a multi-size sweep, a port sweep at one
-// size, or simply two engines over the same scheme recompiled the same
-// golden run from scratch.  OracleCache hoists that memoization out of
-// the engines:
+// (march test, n, background or word width, delay) and is immutable
+// once built.  Before this cache each CampaignEngine / MarchCampaign
+// built its own copy in its constructor, so a multi-size sweep, a port
+// sweep at one size, or simply two engines over the same scheme
+// recompiled the same golden run from scratch.  OracleCache hoists
+// that memoization out of the engines:
 //
 //  * keys are structural fingerprints (core::scheme_fingerprint,
 //    march::test_fingerprint) plus the run geometry, so renamed but
@@ -55,24 +55,19 @@ namespace prt::analysis {
 
 class OracleCache {
  public:
-  /// Everything derivable from (scheme, n): the memoized oracle, the
-  /// scheme's lane-packability, and — iff packable — the compiled
-  /// replay transcript.  Immutable after construction.
+  /// Everything derivable from (scheme, n): the memoized oracle and
+  /// the compiled replay transcript.  Immutable after construction.
   struct PrtEntry {
     core::PrtOracle oracle;
-    /// core::prt_scheme_packable(scheme): the scheme runs bit-parallel
-    /// (GF(2) on the single-plane hot loop, GF(2^m) over m bit planes
-    /// with compiled tap matrices).  Campaign packing additionally
-    /// requires the campaign word width to equal the scheme's field
-    /// degree (transcript.width) — a per-campaign fact that stays
-    /// outside the cache.
-    bool packable = false;
-    /// Compiled golden op stream; empty unless `packable`.
+    /// Compiled golden op stream; empty unless
+    /// core::prt_scheme_packable(scheme) (the campaign driver rejects
+    /// such a scheme before it asks the cache).
     core::OpTranscript transcript;
   };
 
-  /// Everything derivable from (test, n, background, delay_ticks): the
-  /// compiled March transcript.  Immutable after construction.
+  /// Everything derivable from (test, n, background or background
+  /// sweep, delay_ticks): the compiled March transcript.  Immutable
+  /// after construction.
   struct MarchEntry {
     core::OpTranscript transcript;
   };
@@ -103,6 +98,16 @@ class OracleCache {
   /// building it exactly once per key.
   [[nodiscard]] std::shared_ptr<const MarchEntry> march(
       const march::MarchTest& test, mem::Addr n, bool background,
+      std::uint64_t delay_ticks = march::kDefaultDelayTicks);
+
+  /// Returns the entry holding the whole march::standard_backgrounds(m)
+  /// sweep of an m-bit word compiled into one transcript
+  /// (march::make_march_transcript's background-list overload),
+  /// building it exactly once per (test, n, m, delay_ticks).  m = 1 is
+  /// the single background 0, so it returns march(test, n, false,
+  /// delay_ticks).
+  [[nodiscard]] std::shared_ptr<const MarchEntry> march_sweep(
+      const march::MarchTest& test, mem::Addr n, unsigned m,
       std::uint64_t delay_ticks = march::kDefaultDelayTicks);
 
   /// Number of entries actually built (not lookups) — the

@@ -110,10 +110,11 @@ struct OpTranscript {
   // --- PRT side ---
   std::vector<PrtIterSpan> iterations;
   gf::Poly2 misr_poly = 0;  // 0 = MISR disabled
-  /// Field degree m of the scheme: every golden value and memory word
-  /// is an m-bit quantity.  1 for GF(2) (and for all March
-  /// transcripts); word-oriented schemes carry their real width so the
-  /// replays pick the word path.
+  /// Word width m: every golden value and memory word is an m-bit
+  /// quantity.  A PRT transcript carries its scheme's field degree (1
+  /// for GF(2)), a March transcript the width it was compiled for (1
+  /// for a single bit-oriented background, m for an m-bit background
+  /// sweep); the replays take the word path when it exceeds 1.
   unsigned width = 1;
   // --- March side ---
   std::vector<MarchSegment> march;

@@ -7,10 +7,12 @@
 // ...) are provided.
 //
 // Campaign hot loops do not re-derive the element/address/op nesting
-// per fault: make_march_transcript compiles one (test, n, background)
-// golden run into a flat core::OpTranscript, and the packed replay
-// run_march_packed (64, 256 or 512 lanes) streams through it.  Every
-// lane is bit-identical to run_march, including the early-abort op
+// per fault: make_march_transcript compiles a golden run into a flat
+// core::OpTranscript — one background of a bit-oriented memory, or
+// the whole background sweep of an m-bit word — and the packed replay
+// run_march_packed (64, 256 or 512 lanes; one lane word per bit plane
+// for m > 1) streams through it.  Every lane is bit-identical to
+// run_march / run_march_backgrounds, including the early-abort op
 // accounting (stop at the first mismatching read, ops = everything
 // issued up to and including it), which is what lets the packed path
 // report per-lane abort ops analytically.  run_march itself stays the
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/op_transcript.hpp"
@@ -65,19 +68,36 @@ struct MarchRunOptions {
                                     const MarchRunOptions& options = {});
 
 /// Runs the test once per background and merges the results (a fault is
-/// detected if any background run fails).
+/// detected if any background run fails).  The memory is not reset
+/// between backgrounds: its state and clock carry over.
 [[nodiscard]] MarchResult run_march_backgrounds(
     const MarchTest& test, mem::Memory& memory,
     const std::vector<mem::Word>& backgrounds,
     const MarchRunOptions& options = {});
 
-/// Compiles one (test, n, background-bit) March run into a flat op
-/// transcript: one core::MarchSegment per element, records flattened
-/// in traversal order with the data bit resolved against the
-/// background.  Built once per campaign and replayed per fault.
+/// Compiles one (test, n, background-bit) March run on a bit-oriented
+/// memory into a flat op transcript: one core::MarchSegment per
+/// element, records flattened in traversal order with the data bit
+/// resolved against the background.  Built once per campaign and
+/// replayed per fault.
 [[nodiscard]] core::OpTranscript make_march_transcript(
     const MarchTest& test, mem::Addr n, bool background,
     std::uint64_t delay_ticks = kDefaultDelayTicks);
+
+/// Compiles the sweep run_march_backgrounds(test, memory, backgrounds)
+/// performs on n words of `width` bits into one transcript: per
+/// background in order, one core::MarchSegment per element, each
+/// record's golden the whole data word (index 0 = the background,
+/// index 1 = its complement, masked to the word).  transcript.width =
+/// `width`, so run_march_packed replays it through read_word /
+/// write_word.  Memory state and the clock carry over between
+/// backgrounds as in the live sweep, so a read's global op index is
+/// what the live early-abort sweep charges when it stops there.
+/// Throws std::invalid_argument when n < 1, width is outside [1, 32]
+/// or an element has no ops or more than 32.
+[[nodiscard]] core::OpTranscript make_march_transcript(
+    const MarchTest& test, mem::Addr n, std::span<const mem::Word> backgrounds,
+    unsigned width, std::uint64_t delay_ticks = kDefaultDelayTicks);
 
 /// Verdict of a packed transcript March run at lane width
 /// LaneTraits<W>::kLanes (mirrors core::PackedVerdictT).
@@ -88,9 +108,10 @@ struct MarchPackedVerdictT {
   /// shifting the raw word — the mask is width-generic.
   W detected{};
   /// Sum over the ram's active lanes of the ops a scalar
-  /// run_march(FaultyRam, ..., {.early_abort}) would have issued for
-  /// that lane's fault: everything up to and including the first
-  /// mismatching read under early_abort, the full test otherwise.
+  /// run_march (run_march_backgrounds for a sweep transcript) on a
+  /// FaultyRam with {.early_abort} would have issued for that lane's
+  /// fault: everything up to and including the first mismatching read
+  /// under early_abort, the full test otherwise.
   std::uint64_t scalar_ops = 0;
 
   /// Width-generic per-lane accessor: lane `lane`'s verdict.
@@ -107,11 +128,14 @@ using MarchPackedVerdict = MarchPackedVerdictT<mem::LaneWord>;
 
 /// Replays a compiled March transcript bit-parallel over a
 /// mem::PackedFaultRamT (one independent single-fault lane per word
-/// bit): each write broadcasts the record's data bit to every lane and
-/// each read compares every lane against the expected bit at once.
-/// Per-lane semantics are identical to run_march(test,
-/// FaultyRam-with-that-fault, background, delay, options) at every
-/// lane width.  With early_abort, lanes retire as their mismatch
+/// bit): each write broadcasts the record's data to every lane and
+/// each read compares every lane against the expected data at once —
+/// one lane word per bit plane when transcript.width > 1.  Per-lane
+/// semantics are identical to run_march(test,
+/// FaultyRam-with-that-fault, background, delay, options), or to
+/// run_march_backgrounds for a sweep transcript, at every lane width.
+/// Precondition: transcript.n == ram.size() and transcript.width ==
+/// ram.width().  With early_abort, lanes retire as their mismatch
 /// latches and the replay stops once every active lane is retired,
 /// with per-lane op accounting identical to the scalar abort path.
 /// Lanes beyond ram.lanes_used() never deviate, but callers should

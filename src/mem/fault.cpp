@@ -1,6 +1,7 @@
 #include "mem/fault.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace prt::mem {
 
@@ -110,6 +111,32 @@ std::string Fault::describe() const {
     os << " decays_to=" << state << " after=" << delay;
   }
   return os.str();
+}
+
+void validate_fault(const Fault& fault, Addr cells, unsigned width,
+                    std::string_view who) {
+  auto reject = [&](const char* reason) {
+    throw std::invalid_argument(std::string(who) + ": " + reason + ": " +
+                                fault.describe());
+  };
+  if (fault.victim.cell >= cells || fault.victim.bit >= width) {
+    reject("victim out of range");
+  }
+  if (is_coupling(fault.kind)) {
+    if (fault.aggressor.cell >= cells || fault.aggressor.bit >= width) {
+      reject("aggressor out of range");
+    }
+    if (fault.aggressor == fault.victim) {
+      reject("aggressor must differ from victim");
+    }
+  }
+  if (is_address_fault(fault.kind) && fault.kind != FaultKind::kAfNoAccess &&
+      fault.alias >= cells) {
+    reject("alias out of range");
+  }
+  if (fault.kind == FaultKind::kDrf && fault.delay == 0) {
+    reject("retention fault needs delay > 0");
+  }
 }
 
 }  // namespace prt::mem

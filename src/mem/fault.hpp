@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "mem/memory.hpp"
 
@@ -176,5 +177,19 @@ struct Fault {
   /// Human-readable one-liner, e.g. "CFin v=(3,0) a=(7,0)".
   [[nodiscard]] std::string describe() const;
 };
+
+/// The one malformed-fault check, shared by FaultyRam::inject,
+/// PackedFaultRamT::add_fault and the campaign driver's up-front
+/// universe check.  Throws std::invalid_argument, prefixed with
+/// `who`, when `fault` does not fit a memory of `cells` words of
+/// `width` bits: a victim, aggressor or alias cell out of range, a bit
+/// plane >= width, a two-cell fault whose aggressor is its victim, or
+/// a retention fault with delay == 0.  Malformed universes must fail
+/// loudly in release campaigns too, so this is a runtime throw, not an
+/// assert.  Faults that are well-formed but can never fire (a CFst
+/// trigger state > 1, an NPSF victim on the grid border) pass: they
+/// are inert, not malformed.
+void validate_fault(const Fault& fault, Addr cells, unsigned width,
+                    std::string_view who);
 
 }  // namespace prt::mem

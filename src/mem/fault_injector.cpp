@@ -1,7 +1,6 @@
 #include "mem/fault_injector.hpp"
 
 #include <cassert>
-#include <stdexcept>
 
 namespace prt::mem {
 
@@ -13,34 +12,7 @@ FaultyRam::FaultyRam(Addr cells, unsigned width_bits, unsigned port_count)
     : ram_(cells, width_bits, port_count) {}
 
 void FaultyRam::inject(const Fault& fault) {
-  // Malformed universes must fail loudly in release campaigns too, so
-  // these are runtime throws, not asserts (same precedent as
-  // prt_algorithm_prefix).
-  if (fault.victim.cell >= size() || fault.victim.bit >= width()) {
-    throw std::invalid_argument("FaultyRam::inject: victim out of range: " +
-                                fault.describe());
-  }
-  if (is_coupling(fault.kind)) {
-    if (fault.aggressor.cell >= size() || fault.aggressor.bit >= width()) {
-      throw std::invalid_argument(
-          "FaultyRam::inject: aggressor out of range: " + fault.describe());
-    }
-    if (fault.aggressor == fault.victim) {
-      throw std::invalid_argument(
-          "FaultyRam::inject: aggressor must differ from victim: " +
-          fault.describe());
-    }
-  }
-  if (is_address_fault(fault.kind) && fault.kind != FaultKind::kAfNoAccess &&
-      fault.alias >= size()) {
-    throw std::invalid_argument("FaultyRam::inject: alias out of range: " +
-                                fault.describe());
-  }
-  if (fault.kind == FaultKind::kDrf && fault.delay == 0) {
-    throw std::invalid_argument(
-        "FaultyRam::inject: retention fault needs delay > 0: " +
-        fault.describe());
-  }
+  validate_fault(fault, size(), width(), "FaultyRam::inject");
   faults_.push_back(fault);
   refreshed_at_.push_back(clock_);
   has_address_fault_ = has_address_fault_ || is_address_fault(fault.kind);

@@ -30,10 +30,9 @@ class FaultyRam final : public Memory {
   /// sized for 4 ports; anything else would index out of bounds).
   FaultyRam(Addr cells, unsigned width_bits, unsigned port_count = 1);
 
-  /// Injects a fault.  Throws std::invalid_argument when a referenced
-  /// cell/bit/alias is out of range, a coupling fault has victim ==
-  /// aggressor, or a retention fault has delay == 0 — malformed
-  /// universes must not silently corrupt release-build campaigns.
+  /// Injects a fault.  Throws std::invalid_argument on a malformed
+  /// fault (mem::validate_fault) — malformed universes must not
+  /// silently corrupt release-build campaigns.
   /// Stuck-at victims are clamped to their stuck value immediately.
   void inject(const Fault& fault);
   void clear_faults() {

@@ -64,16 +64,11 @@
 
 namespace prt::mem {
 
-/// True when `fault` can ride a bit lane of a `width`-bit packed
-/// memory: every referenced bit plane must exist (victim.bit < width,
-/// and aggressor.bit < width for the coupling kinds).  All fault
-/// families qualify now — single-cell, coupling/bridge, decoder (AF),
-/// static NPSF and retention (DRF) — except the degenerate CFst whose
-/// trigger state is outside {0, 1} (inert in FaultyRam; it stays on
-/// the scalar reference path instead of teaching the lanes a
-/// degenerate encoding).  Width-independent: a fault either rides any
-/// lane word or none, so the packed/scalar dispatch split never
-/// depends on the lane width.
+/// True when every bit plane `fault` references exists in a
+/// `width`-bit word.  The library no longer calls it (the campaign
+/// driver runs mem::validate_fault over the whole universe up front);
+/// it stays for the perfbench probes, which filter their sample
+/// batches with it.
 [[nodiscard]] bool lane_compatible(const Fault& fault, unsigned width = 1);
 
 template <typename W>
@@ -110,14 +105,14 @@ class PackedFaultRamT {
   /// State conditions (CFst, bridge, NPSF) are enforced against the
   /// lane's current contents immediately and a retention victim's
   /// charge is stamped with the current clock, matching
-  /// FaultyRam::inject.  An NPSF fault whose neighbourhood is
-  /// incomplete (no grid, border victim, pattern > 15) still consumes
-  /// a lane but registers no effect — it is inert in FaultyRam too, so
-  /// the lane simply never mismatches.  Throws std::invalid_argument
-  /// when the fault is not lane_compatible() for this width, a
-  /// referenced cell is out of range, a two-cell fault has aggressor
-  /// == victim, or a retention fault has delay == 0;
-  /// std::length_error when all kLanes lanes are taken.  The sense-amp
+  /// FaultyRam::inject.  A fault that is inert in FaultyRam — an NPSF
+  /// fault whose neighbourhood is incomplete (no grid, border victim,
+  /// pattern > 15), a CFst whose trigger state is outside {0, 1} —
+  /// still consumes a lane but registers no effect, so the lane simply
+  /// never mismatches.  Throws std::invalid_argument on a malformed
+  /// fault (mem::validate_fault: the same check and messages as
+  /// FaultyRam::inject); std::length_error when all kLanes lanes are
+  /// taken.  The sense-amp
   /// history is only kept while a lane holds a stuck-open (SOF) fault,
   /// so add SOF faults before the first read (the campaign loops add
   /// every fault right after reset()).

@@ -2,9 +2,9 @@
 // complete runs bit-identical to the synchronous engines, cooperative
 // cancellation / deadlines with exact partial results, shard-granular
 // checkpoint/resume whose resumed results are bit-identical to
-// uninterrupted runs (interrupting at *every* cadence point, packed PRT
-// and March plus a non-packable word-oriented March workload on the
-// per-fault path, 1 and 4 threads), per-class priority
+// uninterrupted runs (interrupting at *every* cadence point, PRT,
+// bit-oriented March and word-oriented March, 1 and 4 threads),
+// per-class priority
 // admission with bounded queues and deadline-aware load shedding, the
 // shard stall watchdog, bounded shard retry with request isolation,
 // and the oracle cache's poisoned-entry eviction plus budgeted LRU —
@@ -69,8 +69,8 @@ CampaignRequest march_request(mem::Addr n) {
   return req;
 }
 
-/// Word-oriented (m = 2) March request: not packable, so every fault
-/// runs on the per-fault live reference path.
+/// Word-oriented (m = 2) March request: every fault rides the packed
+/// background-sweep replay on the width-2 plane layout.
 CampaignRequest word_march_request(mem::Addr n) {
   CampaignRequest req;
   req.march_test = march::march_c_minus();
@@ -133,10 +133,9 @@ TEST(CampaignService, EmptyUniverseCompletesEmpty) {
   EXPECT_EQ(out.shards_total, 0u);
 }
 
-// Dispatch tallies roll up across resolved requests: a packed run of a
-// fully lane-compatible universe tallies every fault as packed, a
-// non-packable (word-oriented March) run tallies every fault as
-// per-fault, and the service stats sum both.
+// Dispatch tallies roll up across resolved requests: bit-oriented PRT
+// and word-oriented March both ride the packed replay, so each tallies
+// every fault as packed, and the service stats sum both.
 TEST(CampaignService, StatsRollUpDispatchTallies) {
   const mem::Addr n = 32;
   CampaignService service;
@@ -156,12 +155,12 @@ TEST(CampaignService, StatsRollUpDispatchTallies) {
   const std::uint64_t word_total = word_req.universe.size();
   const RequestOutcome& word_out = service.submit(std::move(word_req)).wait();
   ASSERT_EQ(word_out.status, RequestStatus::kComplete);
-  EXPECT_EQ(word_out.result.packed_faults, 0u);
-  EXPECT_EQ(word_out.result.scalar_faults, word_total);
+  EXPECT_EQ(word_out.result.packed_faults, word_total);
+  EXPECT_EQ(word_out.result.scalar_faults, 0u);
   {
     const auto stats = service.stats();
-    EXPECT_EQ(stats.packed_faults, total);
-    EXPECT_EQ(stats.scalar_faults, word_total);
+    EXPECT_EQ(stats.packed_faults, total + word_total);
+    EXPECT_EQ(stats.scalar_faults, 0u);
   }
 }
 
@@ -234,6 +233,41 @@ TEST(CampaignService, MalformedRequestsFailFast) {
     EXPECT_FALSE(out.error.empty());
   }
   EXPECT_EQ(service.stats().accepted, 0u);
+}
+
+// A malformed universe or a scheme the packed replay cannot run fails
+// the request in its setup, before any shard task exists: the error is
+// the validator's message and no shard attempt is retried as if a
+// worker had crashed.
+TEST(CampaignService, MalformedUniverseOrSchemeFailsBeforeAnyShard) {
+  CampaignService service;
+  {
+    CampaignRequest req = prt_request(24);
+    req.universe.push_back(mem::Fault::saf({24 + 5, 0}, 1));
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find("victim out of range"), std::string::npos)
+        << out.error;
+  }
+  {
+    CampaignRequest req = word_march_request(16);
+    req.universe.push_back(mem::Fault::saf({3, 2}, 1));  // plane 2 of m = 2
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find("victim out of range"), std::string::npos)
+        << out.error;
+  }
+  {
+    CampaignRequest req = prt_request(32);
+    req.scheme = core::extended_scheme_wom(32, 4);  // GF(2^4) on m = 1
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find("GF(2^4)"), std::string::npos) << out.error;
+    EXPECT_EQ(out.result.overall.total, 0u);
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.failed, 3u);
+  EXPECT_EQ(stats.shard_retries, 0u);
 }
 
 TEST(CampaignService, DefaultTicketIsInert) {

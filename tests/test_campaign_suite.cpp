@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -207,7 +208,6 @@ TEST(OracleCache, BuildsOncePerKeyUnderConcurrentLookups) {
     EXPECT_EQ(entries[0], entries[t]);  // one shared entry, not copies
   }
   EXPECT_EQ(entries[0]->oracle.n, 64u);
-  EXPECT_TRUE(entries[0]->packable);
   EXPECT_FALSE(entries[0]->transcript.recs.empty());
 
   // A different key builds separately; the same key never rebuilds.
@@ -291,6 +291,47 @@ TEST(CampaignValidation, RejectsMalformedGeometryOnEveryEntryPath) {
                  std::invalid_argument);
   }
   EXPECT_NO_THROW(validate_campaign_options({.n = 64, .m = 32, .ports = 4}));
+}
+
+// A scheme the packed replay cannot run is rejected at construction
+// on every entry path, with a message naming the reason (the live
+// reference's word-width precondition is only an assert, so running
+// such a scheme would report coverage in a release build).
+TEST(CampaignValidation, RejectsUnpackableSchemeOnEveryEntryPath) {
+  const mem::Addr n = 32;
+  const auto universe = mem::classical_universe(n);
+  auto unpackable = core::standard_scheme_bom(n);
+  unpackable.iterations.clear();
+  struct Case {
+    core::PrtScheme scheme;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {core::extended_scheme_wom(n, 4), "GF(2^4)"},
+      {unpackable, "packed replay"},
+  };
+  const CampaignOptions opt{.n = n, .m = 1};
+  for (const Case& c : cases) {
+    try {
+      (void)run_prt_campaign(universe, c.scheme, opt);
+      ADD_FAILURE() << "expected std::invalid_argument (" << c.reason << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.reason), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(CampaignEngine(c.scheme, opt), std::invalid_argument);
+    for (const unsigned threads : {1u, 3u}) {
+      const std::vector<CampaignOptions> grid = {opt};
+      EXPECT_THROW(
+          (void)run_prt_suite(
+              grid, [&](const CampaignOptions&) { return c.scheme; },
+              [](const CampaignOptions& o, std::size_t) {
+                return mem::classical_universe(o.n);
+              },
+              {.threads = threads}),
+          std::invalid_argument);
+    }
+  }
 }
 
 TEST(CampaignValidation, RejectsMarchDataIndexOutsideNotation) {

@@ -2,12 +2,13 @@
 // March campaign wrapper (analysis::MarchCampaign).
 //
 // The load-bearing property mirrors the packed PRT path: every lane of
-// a packed March sweep must reproduce run_march against a scalar
-// FaultyRam holding that lane's single fault, and MarchCampaign must
-// reproduce the serial run_campaign(march_algorithm) CampaignResult —
-// coverage, per-class counts, escape indices and op totals — on any
-// universe, at any thread count, whether the campaign packs (m = 1) or
-// runs every fault on the live reference (word-oriented m > 1).
+// a packed March sweep must reproduce run_march (run_march_backgrounds
+// for a word-oriented background sweep) against a scalar FaultyRam
+// holding that lane's single fault, and MarchCampaign must reproduce
+// the serial run_campaign(march_algorithm) CampaignResult — coverage,
+// per-class counts, escape indices and op totals — on any universe, at
+// any thread count and lane width, bit- (m = 1) and word-oriented
+// (m > 1) alike.
 #include "march/march_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/march_campaign.hpp"
@@ -275,9 +277,9 @@ TEST(MarchCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   check_march_campaign_parity(universe, march::march_g(), opt);
 }
 
-// Word-oriented campaigns are not packable: every fault runs per fault
-// on the live background sweep, still fanned out over the pool.
-TEST(MarchCampaign, WomCampaignFallsBackToScalar) {
+// Word-oriented campaigns ride the packed background-sweep replay:
+// every fault packs, still fanned out over the pool.
+TEST(MarchCampaign, WomCampaignRidesPackedSweep) {
   const mem::Addr n = 32;
   const unsigned m = 4;
   const auto universe = mem::make_universe(
@@ -286,6 +288,125 @@ TEST(MarchCampaign, WomCampaignFallsBackToScalar) {
   opt.n = n;
   opt.m = m;
   check_march_campaign_parity(universe, march::march_c_minus(), opt);
+}
+
+// --- word-oriented background sweep ---------------------------------------
+
+/// The WOM universe (single-cell, read logic, inter- and intra-word
+/// coupling, bridges, decoder) plus a retention fault on every bit
+/// whose delay straddles none, one, two or several Del elements —
+/// March G's later backgrounds see decay only if the retention clock
+/// carries across the sweep, as it does live.
+std::vector<mem::Fault> word_march_universe(mem::Addr n, unsigned m) {
+  auto universe = mem::make_universe(
+      n, m, {.address_decoder = true, .intra_word = true});
+  constexpr std::uint64_t kDelays[] = {200,     30'000,  99'999,       150'000,
+                                       250'000, 350'000, 1'000'000'000};
+  for (mem::Addr c = 0; c < n; ++c) {
+    for (unsigned b = 0; b < m; ++b) {
+      universe.push_back(mem::Fault::retention(
+          {c, b}, (c + b) & 1U, kDelays[(c * m + b) % 7]));
+    }
+  }
+  return universe;
+}
+
+// One sweep transcript covers every standard background in order.  Per
+// lane, the packed replay reaches the live run_march_backgrounds
+// verdict and charges its ops — with early abort, the global op index
+// of the first failing read, which is where the live sweep stops — and
+// a 512-lane batch charges the sum of its lanes' live ops.
+TEST(RunMarchPacked, WordSweepLaneOpsMatchLiveBackgroundSweep) {
+  const mem::Addr n = 16;
+  for (const unsigned m : {2u, 4u}) {
+    const std::vector<mem::Word> backgrounds = march::standard_backgrounds(m);
+    const std::vector<mem::Fault> universe = word_march_universe(n, m);
+    for (const march::MarchTest& test :
+         {march::march_c_minus(), march::march_g()}) {
+      const core::OpTranscript t =
+          march::make_march_transcript(test, n, backgrounds, m);
+      EXPECT_EQ(t.width, m);
+      EXPECT_EQ(t.total_ops(), backgrounds.size() * test.total_ops(n));
+      for (const bool abort : {false, true}) {
+        mem::FaultyRam scalar(n, m);
+        mem::PackedFaultRam one(n, m);
+        mem::PackedFaultRamT<mem::WideWord<8>> wide(n, m);
+        std::uint64_t live_ops = 0;
+        auto check_wide = [&] {
+          const auto v =
+              march::run_march_packed(wide, t, {.early_abort = abort});
+          EXPECT_EQ(v.scalar_ops, live_ops) << test.name << " m=" << m;
+          wide.reset();
+          live_ops = 0;
+        };
+        for (const mem::Fault& f : universe) {
+          scalar.reset(f);
+          const march::MarchResult r = march::run_march_backgrounds(
+              test, scalar, backgrounds, {.early_abort = abort});
+          one.reset();
+          one.add_fault(f);
+          const auto v =
+              march::run_march_packed(one, t, {.early_abort = abort});
+          EXPECT_EQ(v.lane_detected(0), r.fail)
+              << test.name << " m=" << m << " abort=" << abort << " ("
+              << f.describe() << ")";
+          EXPECT_EQ(v.scalar_ops, r.ops)
+              << test.name << " m=" << m << " abort=" << abort << " ("
+              << f.describe() << ")";
+          wide.add_fault(f);
+          live_ops += r.ops;
+          if (wide.lanes_used() == decltype(wide)::kLanes) check_wide();
+        }
+        if (wide.lanes_used() != 0) check_wide();
+      }
+    }
+  }
+}
+
+// Word-March parity grid: campaign results bit-identical to the live
+// reference (run_campaign over march_algorithm, or its early-abort
+// twin) at m in {2, 4}, lane widths {64, 256, 512} and 1 or 4 threads,
+// with every fault packed.
+TEST(MarchCampaign, WordSweepBitIdenticalToLiveReference) {
+  const mem::Addr n = 16;
+  for (const unsigned m : {2u, 4u}) {
+    const std::vector<mem::Fault> universe = word_march_universe(n, m);
+    analysis::CampaignOptions opt;
+    opt.n = n;
+    opt.m = m;
+    for (const march::MarchTest& test :
+         {march::march_c_minus(), march::march_g()}) {
+      for (const bool early_abort : {false, true}) {
+        const auto reference = analysis::run_campaign(
+            universe,
+            [&](mem::Memory& memory) {
+              return march::run_march_backgrounds(
+                         test, memory, march::standard_backgrounds(m),
+                         {.early_abort = early_abort})
+                  .fail;
+            },
+            opt);
+        for (const unsigned lane_width : {64u, 256u, 512u}) {
+          for (const unsigned threads : {1u, 4u}) {
+            analysis::MarchEngineOptions eng;
+            eng.threads = threads;
+            eng.early_abort = early_abort;
+            eng.lane_width = lane_width;
+            const auto got =
+                analysis::run_march_campaign(universe, test, opt, eng);
+            SCOPED_TRACE(test.name + " m=" + std::to_string(m) +
+                         " width=" + std::to_string(lane_width) +
+                         " threads=" + std::to_string(threads) +
+                         " abort=" + std::to_string(early_abort));
+            expect_identical(reference, got);
+            EXPECT_EQ(got.packed_faults, universe.size());
+            EXPECT_EQ(got.scalar_faults, 0u);
+            EXPECT_EQ(got.sched.max_lanes, lane_width);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- lane-width parity ---------------------------------------------------

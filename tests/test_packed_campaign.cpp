@@ -39,47 +39,69 @@ void expect_identical(const analysis::CampaignResult& a,
   EXPECT_EQ(a.ops, b.ops);
 }
 
-// --- lane compatibility ------------------------------------------------
+// --- add_fault accept/reject ---------------------------------------------
 
-TEST(LaneCompatible, SingleBitKindsRideLanesOthersDoNot) {
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::saf({3, 0}, 0)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::saf({3, 0}, 1)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::tf({3, 0}, true)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::tf({3, 0}, false)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::wdf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::rdf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::drdf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::irf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::sof({3, 0})));
-  // Two-cell coupling faults ride a lane too: the aggressor/victim
-  // pair lives in one lane's memory.
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_in({1, 0}, {2, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_id({1, 0}, {2, 0}, true, 1)));
-  EXPECT_TRUE(
-      mem::lane_compatible(mem::Fault::cf_id({1, 0}, {2, 0}, false, 0)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_st({1, 0}, {2, 0}, 0, 1)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_st({1, 0}, {2, 0}, 1, 0)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::bridge({1, 0}, {2, 0}, true)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::bridge({1, 0}, {2, 0}, false)));
-  // Decoder faults ride too: one fault per lane means the remap
-  // touches exactly one address and at most one alias cell.
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::af_no_access(1)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::af_wrong_access(1, 2)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::af_multi_access(1, 2)));
-  // Pattern faults ride: the 4-cell neighbourhood is per-lane
-  // metadata like an aggressor/victim pair.  Clock-dependent
-  // retention faults ride too: decay advances analytically on the
-  // packed clock.
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::npsf_static({5, 0}, 0xF, 0, 4)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::retention({1, 0}, 1, 8)));
-  // The packed array models a 1-bit-wide memory: bit planes > 0 do not
-  // ride, on either end of the pair.
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::saf({3, 1}, 0)));
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::cf_in({1, 1}, {2, 0})));
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::cf_in({1, 0}, {2, 1})));
-  // A CFst trigger state beyond {0, 1} never matches a stored bit —
-  // FaultyRam treats it as inert, so it stays on the scalar path.
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::cf_st({1, 0}, {2, 0}, 2, 1)));
+// Every fault family rides a lane of a bit-oriented packed ram; a
+// referenced bit plane past the word width is malformed and rejected
+// (mem::validate_fault, the check FaultyRam::inject makes).  A CFst
+// trigger state beyond {0, 1} never matches a stored bit: it is inert
+// in FaultyRam, so add_fault accepts it as an inert lane, and the lane
+// reaches FaultyRam's verdict.
+TEST(PackedFaultRam, AddFaultAcceptsEveryKindRejectsPlanesPastWidth) {
+  const mem::Addr n = 16;
+  const std::vector<mem::Fault> accepted = {
+      mem::Fault::saf({3, 0}, 0),
+      mem::Fault::saf({3, 0}, 1),
+      mem::Fault::tf({3, 0}, true),
+      mem::Fault::tf({3, 0}, false),
+      mem::Fault::wdf({3, 0}),
+      mem::Fault::rdf({3, 0}),
+      mem::Fault::drdf({3, 0}),
+      mem::Fault::irf({3, 0}),
+      mem::Fault::sof({3, 0}),
+      // Two-cell coupling faults: the aggressor/victim pair lives in
+      // one lane's memory.
+      mem::Fault::cf_in({1, 0}, {2, 0}),
+      mem::Fault::cf_id({1, 0}, {2, 0}, true, 1),
+      mem::Fault::cf_id({1, 0}, {2, 0}, false, 0),
+      mem::Fault::cf_st({1, 0}, {2, 0}, 0, 1),
+      mem::Fault::cf_st({1, 0}, {2, 0}, 1, 0),
+      mem::Fault::bridge({1, 0}, {2, 0}, true),
+      mem::Fault::bridge({1, 0}, {2, 0}, false),
+      // Decoder faults: one fault per lane means the remap touches
+      // exactly one address and at most one alias cell.
+      mem::Fault::af_no_access(1),
+      mem::Fault::af_wrong_access(1, 2),
+      mem::Fault::af_multi_access(1, 2),
+      // Pattern and clock-dependent faults.
+      mem::Fault::npsf_static({5, 0}, 0xF, 0, 4),
+      mem::Fault::retention({1, 0}, 1, 8),
+      // The degenerate CFst: inert.
+      mem::Fault::cf_st({1, 0}, {2, 0}, 2, 1),
+  };
+  mem::PackedFaultRam ram(n);
+  for (const mem::Fault& f : accepted) {
+    EXPECT_NO_THROW(ram.add_fault(f)) << f.describe();
+  }
+  // The packed array models a 1-bit-wide memory: bit planes > 0 are
+  // out of range, on either end of the pair.
+  for (const mem::Fault& f :
+       {mem::Fault::saf({3, 1}, 0), mem::Fault::cf_in({1, 1}, {2, 0}),
+        mem::Fault::cf_in({1, 0}, {2, 1})}) {
+    EXPECT_THROW(ram.add_fault(f), std::invalid_argument) << f.describe();
+  }
+
+  const mem::Fault degenerate = mem::Fault::cf_st({1, 0}, {2, 0}, 2, 1);
+  const auto scheme = core::extended_scheme_bom(n);
+  const auto oracle = core::make_prt_oracle(scheme, n);
+  mem::PackedFaultRam packed(n);
+  packed.add_fault(degenerate);
+  const std::uint64_t detected =
+      core::run_prt_packed(packed, scheme, oracle) & packed.active_mask();
+  mem::FaultyRam scalar(n, 1);
+  scalar.reset(degenerate);
+  EXPECT_EQ(detected != 0, core::run_prt(scalar, scheme, oracle).detected());
+  EXPECT_EQ(packed.ops(), scalar.total_stats().total());
 }
 
 TEST(PackedFaultRam, RejectsIncompatibleAndOverflowingFaults) {
@@ -930,15 +952,14 @@ TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
 // --- dispatch tallies ----------------------------------------------------
 
 // packed_faults / scalar_faults partition the universe: the engine
-// routes every lane-compatible fault through a batch and only the
-// degenerate CFst trigger state falls back to the live reference (with
-// the same verdict), and the serial reference tallies every fault as
-// per-fault.
+// routes every fault through a lane batch — the degenerate CFst trigger
+// state included, as an inert lane with the live reference's verdict —
+// and the serial reference tallies every fault as per-fault.
 TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   const mem::Addr n = 48;
   auto universe = mem::van_de_goor_universe(n);
-  // One degenerate CFst trigger state (> 1): inert in FaultyRam, kept
-  // on the scalar reference path by lane_compatible.
+  // One degenerate CFst trigger state (> 1): inert in FaultyRam, an
+  // inert lane on the packed path.
   universe.push_back(mem::Fault::cf_st({1, 0}, {2, 0}, /*when=*/2, 1));
   const auto scheme = core::extended_scheme_bom(n);
   analysis::CampaignOptions opt;
@@ -951,8 +972,8 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   analysis::EngineOptions packed_eng;
   const auto packed =
       analysis::run_prt_campaign(universe, scheme, opt, packed_eng);
-  EXPECT_EQ(packed.packed_faults, universe.size() - 1);
-  EXPECT_EQ(packed.scalar_faults, 1u);
+  EXPECT_EQ(packed.packed_faults, universe.size());
+  EXPECT_EQ(packed.scalar_faults, 0u);
   EXPECT_EQ(packed.packed_faults + packed.scalar_faults,
             packed.overall.total);
   expect_identical(serial, packed);
