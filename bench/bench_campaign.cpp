@@ -635,8 +635,10 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
 ///     transcript, nine compiles for the nine points);
 ///   * "engines sequential (cached)" — the same engines sharing the
 ///     process-wide OracleCache (three compiles, sequential runs);
-///   * "suite (one call)" — one CampaignSuite::run over the grid: one
-///     pool, (config x shard) tasks flattened, three compiles.
+///   * "suite (one call)" — one CampaignSuite::run over the grid: the
+///     nine points prepared one batch each, then one work-stealing
+///     fan-out over every point's fixed engine batches on one pool,
+///     three compiles.
 ///
 /// The headline suite_vs_sequential ratio is cold-engines over suite —
 /// the cost a sweep paid before this subsystem existed vs. one call.

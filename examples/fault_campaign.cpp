@@ -5,9 +5,10 @@
 // One CampaignSuite::run call sweeps the scheme over every requested
 // memory size: the universe generator is invoked per configuration,
 // golden oracles/transcripts come from the shared cache (one compile
-// per size), all configurations' fault shards interleave on one worker
-// pool, and each configuration's result is bit-identical to a
-// standalone engine run.
+// per size), every configuration's faults run in the standalone
+// engine's fixed batches on one shared work-stealing schedule, and
+// each configuration's result is bit-identical to a standalone engine
+// run.
 //
 //   $ ./fault_campaign [m] [n1 n2 ...]     (defaults: m = 1, n = 64 256)
 #include <cerrno>
@@ -89,8 +90,8 @@ int main(int argc, char** argv) {
       };
 
   // One call, the whole sweep: schemes sized per configuration,
-  // oracles compiled once per (scheme, n), shards flattened onto one
-  // pool.
+  // oracles compiled once per (scheme, n), every configuration's
+  // batches on one pool.
   const analysis::SuiteResult suite = analysis::run_prt_suite(
       grid,
       [](const analysis::CampaignOptions& opt) {

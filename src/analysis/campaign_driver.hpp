@@ -21,8 +21,10 @@
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; the parity suites in tests/ pin
 // their results to run_campaign over the live reference.
-// CampaignSuite (campaign_suite.hpp) and CampaignService drive the
-// same workloads shard by shard on their own schedules, after the same
+// CampaignSuite (campaign_suite.hpp) runs a grid of drivers through
+// the same batch fan-out (detail::run_sharded, one segment per
+// configuration); CampaignService drives the same workloads shard by
+// shard on its own checkpointed partition.  All three run the same
 // up-front universe check.
 //
 // Header is internal to analysis/ (included by the campaign .cpp files
@@ -36,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/campaign_engine.hpp"
 #include "analysis/campaign_shard.hpp"
@@ -167,6 +170,12 @@ class MarchWorkload {
   bool early_abort_;
 };
 
+/// Workers a campaign fans out over: EngineOptions::threads, or
+/// util::default_worker_count() when it is 0.
+[[nodiscard]] inline unsigned worker_count(const EngineOptions& engine) {
+  return engine.threads != 0 ? engine.threads : util::default_worker_count();
+}
+
 /// The generic driver: validated options and universe, lazy pool,
 /// sharded fan-out with the order-deterministic merge, per-shard width
 /// dispatch.  Workload supplies the one campaign-type-specific hook,
@@ -199,12 +208,23 @@ class CampaignDriver {
                                    : mem::default_lane_width();
   }
 
+  /// Steal-queue batch = 4 lane sweeps at the requested width: big
+  /// enough that per-batch packed-ram construction amortizes, small
+  /// enough (vs universe/workers chunks) that idle workers find
+  /// batches to steal — and every batch above the fallback threshold
+  /// fills its wide lanes.  Boundaries depend only on universe size
+  /// and this constant, so results stay bit-identical at any thread
+  /// count.
+  [[nodiscard]] std::size_t batch_size() const {
+    return static_cast<std::size_t>(effective_lane_width()) * 4;
+  }
+
   /// Throws std::invalid_argument, naming the first malformed fault,
   /// unless every fault of `universe` fits the campaign memory
   /// (mem::validate_fault).  run() calls it before any worker starts;
-  /// CampaignSuite and CampaignService call it before they submit a
-  /// shard, so a malformed universe fails the request up front instead
-  /// of inside a worker.
+  /// CampaignSuite calls it as it prepares each configuration and
+  /// CampaignService before it submits a shard, so a malformed
+  /// universe fails the request up front instead of inside a worker.
   void validate_universe(std::span<const mem::Fault> universe) const {
     for (const mem::Fault& f : universe) {
       mem::validate_fault(f, opt_.n, opt_.m, "campaign universe");
@@ -214,8 +234,8 @@ class CampaignDriver {
   /// Fills one shard over universe indices [begin, end).  Stateless
   /// across calls (fresh packed ram and scratch per shard), so any
   /// contiguous ascending partition merges — in shard order — to the
-  /// same CampaignResult; CampaignSuite and CampaignService call this
-  /// directly on their own schedules, after validate_universe.  Polls
+  /// same CampaignResult; CampaignSuite (through run_sharded) and
+  /// CampaignService call this directly, after validate_universe.  Polls
   /// `stop` per fault; returns false (discard `out`, it is partial)
   /// once a stop is observed.
   ///
@@ -259,23 +279,15 @@ class CampaignDriver {
       std::span<const mem::Fault> universe,
       const util::StopToken& stop) const {
     validate_universe(universe);
-    const unsigned workers =
-        engine_.threads != 0 ? engine_.threads : util::default_worker_count();
-    // Steal-queue batch = 4 lane sweeps at the requested width: big
-    // enough that per-batch packed-ram construction amortizes, small
-    // enough (vs universe/workers chunks) that idle workers find
-    // batches to steal — and every batch above the fallback threshold
-    // fills its wide lanes.  Boundaries depend only on universe size
-    // and this constant, so results stay bit-identical at any thread
-    // count.
-    const std::size_t batch =
-        static_cast<std::size_t>(effective_lane_width()) * 4;
-    return run_sharded(
-        universe.size(), workers, batch, pool_,
-        [&](std::size_t begin, std::size_t end, CampaignResult& out) {
-          return run_shard(universe, begin, end, out, stop);
+    const std::size_t size = universe.size();
+    std::vector<CampaignOutcome> out = run_sharded(
+        std::span(&size, 1), worker_count(engine_), batch_size(), pool_,
+        [&](std::size_t, std::size_t begin, std::size_t end,
+            CampaignResult& shard) {
+          return run_shard(universe, begin, end, shard, stop);
         },
         stop);
+    return std::move(out.front());
   }
 
   [[nodiscard]] const Workload& workload() const { return workload_; }

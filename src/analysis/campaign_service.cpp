@@ -522,10 +522,9 @@ struct CampaignService::Impl {
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> partial{0};
   std::atomic<std::uint64_t> failed{0};
-  /// Dispatch tallies summed over every resolved request's merged
-  /// result (CampaignResult::packed_faults / scalar_faults).
+  /// Packed faults summed over every resolved request's merged result
+  /// (CampaignResult::packed_faults).
   std::atomic<std::uint64_t> packed_faults{0};
-  std::atomic<std::uint64_t> scalar_faults{0};
   std::atomic<std::uint64_t> wide_faults{0};
   std::atomic<std::uint64_t> replayed_ops{0};
   std::atomic<std::uint64_t> shard_retries{0};
@@ -704,7 +703,6 @@ struct CampaignService::Impl {
     }
     out.result = merge_results(merged);
     packed_faults += out.result.packed_faults;
-    scalar_faults += out.result.scalar_faults;
     wide_faults += out.result.sched.wide_faults;
     replayed_ops += out.result.sched.replayed_ops;
     switch (out.status) {
@@ -1097,7 +1095,6 @@ CampaignService::Stats CampaignService::stats() const {
   s.shard_retries = impl_->shard_retries.load();
   s.shard_stalls = impl_->shard_stalls.load();
   s.packed_faults = impl_->packed_faults.load();
-  s.scalar_faults = impl_->scalar_faults.load();
   s.wide_faults = impl_->wide_faults.load();
   s.replayed_ops = impl_->replayed_ops.load();
   s.checkpoint_writes = impl_->checkpoint_writes.load();

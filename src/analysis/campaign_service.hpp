@@ -225,13 +225,11 @@ class CampaignService {
     std::uint64_t shard_retries = 0;
     /// Shard attempts cancelled by the stall watchdog.
     std::uint64_t shard_stalls = 0;
-    /// Dispatch tallies rolled up over every resolved request
-    /// (CampaignResult::packed_faults / scalar_faults — the drivers
-    /// pack every fault, so scalar_faults stays 0), plus the packed
-    /// subset that rode a wider-than-64 SIMD lane word
-    /// (CampaignResult::sched.wide_faults).
+    /// Faults that rode the packed replay, rolled up over every
+    /// resolved request (CampaignResult::packed_faults — the drivers
+    /// pack every fault), plus the packed subset that rode a
+    /// wider-than-64 SIMD lane word (CampaignResult::sched.wide_faults).
     std::uint64_t packed_faults = 0;
-    std::uint64_t scalar_faults = 0;
     std::uint64_t wide_faults = 0;
     /// Packed accesses the lane batches actually performed
     /// (CampaignResult::sched.replayed_ops; shards restored from a

@@ -1,8 +1,9 @@
 // Internal shard-loop scaffolding under the generic campaign driver
 // (campaign_driver.hpp): per-fault tallying, the lane-batching loop
 // (64, 256 or 512 lanes per batch, filled kind by kind) with its
-// escape re-sort, and the pool fan-out with the order-deterministic
-// merge.  Keeping every campaign type on
+// escape re-sort, and the one batch fan-out with the
+// order-deterministic merge that both the engines and CampaignSuite
+// run on.  Keeping every campaign type on
 // one copy of this machinery is what keeps their bit-identical-to-serial
 // guarantees in lockstep — fix it here, all paths get it.
 //
@@ -135,72 +136,99 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
   return true;
 }
 
-/// Pool fan-out with the order-deterministic merge: splits
-/// [0, universe_size) into fixed-size batches of `batch_size` faults,
-/// fans them out over `pool` (created lazily, `workers` wide) with the
-/// work-stealing scheduler (util::ThreadPool::parallel_for_batches),
-/// and merges per-batch results in batch-index order.  One worker (or
-/// a universe of fewer than two faults) runs one inline shard instead.
-/// run_shard(begin, end, out) -> bool fills one shard (false = the
-/// shard observed `stop` and abandoned; its partial output is
-/// discarded).  Shards that completed before the stop still count:
+/// Runs fn(i) for every i in [0, count), blocking until all are done:
+/// inline on the calling thread when one worker is asked for or there
+/// is at most one item, else one work-stealing batch per item on
+/// `pool` (created lazily, `workers` wide;
+/// util::ThreadPool::parallel_for_batches).  The first exception
+/// rethrows on the caller.  Returns the scheduler's telemetry; the
+/// inline path steals nothing.
+template <typename Fn>
+util::StealCounters for_each_batch(std::size_t count, unsigned workers,
+                                   std::unique_ptr<util::ThreadPool>& pool,
+                                   Fn&& fn) {
+  if (workers == 1 || count < 2) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return {.batches = count, .steals = 0};
+  }
+  if (!pool) pool = std::make_unique<util::ThreadPool>(workers);
+  return pool->parallel_for_batches(
+      count, 1, [&](std::size_t i, std::size_t, std::size_t) { fn(i); });
+}
+
+/// Pool fan-out with the order-deterministic merge, over one or more
+/// segments (one universe per segment: a campaign, or each
+/// configuration of a suite).  Each segment of size s is cut into
+/// fixed batches [k * batch_size, min((k + 1) * batch_size, s)); one
+/// worker, or a segment of fewer than two faults, runs the segment as
+/// one batch.  Every segment's batches share one global batch index
+/// and run through one for_each_batch call, and each segment's
+/// per-batch results merge in batch order into its own outcome.
+/// run_shard(segment, begin, end, out) -> bool fills one batch (false
+/// = the batch observed `stop` and abandoned; its partial output is
+/// discarded).  Batches that completed before the stop still count:
 /// their ranges ascend even when non-contiguous, so the partial merge
 /// is an exact tally over exactly the covered faults.
 ///
-/// Determinism: batch boundaries depend only on (universe_size,
-/// batch_size) — never on the worker count or who stole what — and
-/// the merge folds them in index order, so the merged CampaignResult
-/// is bit-identical at any thread count.  The scheduler's stolen-batch
-/// telemetry lands in result.sched (batches = completed batches,
-/// steals from the pool's counters), which equality ignores.
+/// Determinism: batch boundaries depend only on (segment size,
+/// batch_size), never on the other segments, the worker count beyond
+/// one, or who stole what, and the merge folds them in index order,
+/// so each merged CampaignResult is bit-identical at any thread count
+/// and to a one-segment call over the same universe.  The scheduler's
+/// telemetry lands in result.sched (batches = the segment's completed
+/// batches; steals = the whole fan-out's stolen batches, from the
+/// pool's counters), which equality ignores.
 template <typename RunShard>
-CampaignOutcome run_sharded(std::size_t universe_size, unsigned workers,
-                            std::size_t batch_size,
-                            std::unique_ptr<util::ThreadPool>& pool,
-                            RunShard&& run_shard,
-                            const util::StopToken& stop = {}) {
-  CampaignOutcome out;
-  if (workers == 1 || universe_size < 2) {
-    out.shards_total = 1;
-    CampaignResult result;
-    if (run_shard(std::size_t{0}, universe_size, result)) {
-      result.sched.batches = 1;
-      out.result = std::move(result);
-      out.shards_done = 1;
+std::vector<CampaignOutcome> run_sharded(
+    std::span<const std::size_t> segment_sizes, unsigned workers,
+    std::size_t batch_size, std::unique_ptr<util::ThreadPool>& pool,
+    RunShard&& run_shard, const util::StopToken& stop = {}) {
+  if (batch_size == 0) batch_size = 1;
+  struct Batch {
+    std::size_t segment, begin, end;
+  };
+  std::vector<Batch> batches;
+  std::vector<CampaignOutcome> out(segment_sizes.size());
+  for (std::size_t seg = 0; seg < segment_sizes.size(); ++seg) {
+    const std::size_t size = segment_sizes[seg];
+    const std::size_t step =
+        workers == 1 || size < 2 ? std::max<std::size_t>(size, 1)
+                                 : batch_size;
+    std::size_t begin = 0;
+    do {
+      batches.push_back({seg, begin, std::min(begin + step, size)});
+      begin += step;
+      ++out[seg].shards_total;
+    } while (begin < size);
+  }
+  std::vector<CampaignResult> results(batches.size());
+  // Completion flags are unsigned char, not vector<bool>: each batch
+  // writes only its own slot, which bit-packing would turn into a
+  // data race on the shared byte.
+  std::vector<unsigned char> done(batches.size(), 0);
+  const util::StealCounters counters =
+      for_each_batch(batches.size(), workers, pool, [&](std::size_t b) {
+        const Batch& batch = batches[b];
+        done[b] = run_shard(batch.segment, batch.begin, batch.end, results[b])
+                      ? 1
+                      : 0;
+      });
+  std::vector<CampaignResult> completed;
+  for (std::size_t b = 0, seg = 0; seg < out.size(); ++seg) {
+    completed.clear();
+    for (; b < batches.size() && batches[b].segment == seg; ++b) {
+      if (done[b] != 0) completed.push_back(std::move(results[b]));
     }
-  } else {
-    if (!pool) pool = std::make_unique<util::ThreadPool>(workers);
-    if (batch_size == 0) batch_size = 1;
-    const std::size_t nbatches =
-        (universe_size + batch_size - 1) / batch_size;
-    out.shards_total = nbatches;
-    std::vector<CampaignResult> shards(nbatches);
-    // Completion flags are unsigned char, not vector<bool>: each batch
-    // writes only its own slot, which bit-packing would turn into a
-    // data race on the shared byte.
-    std::vector<unsigned char> done(nbatches, 0);
-    const util::StealCounters counters = pool->parallel_for_batches(
-        universe_size, batch_size,
-        [&](std::size_t batch, std::size_t begin, std::size_t end) {
-          done[batch] = run_shard(begin, end, shards[batch]) ? 1 : 0;
-        });
-    std::vector<CampaignResult> completed;
-    completed.reserve(nbatches);
-    for (std::size_t s = 0; s < nbatches; ++s) {
-      if (done[s] != 0) {
-        completed.push_back(std::move(shards[s]));
-        ++out.shards_done;
-      }
-    }
-    out.result = merge_results(completed);
+    CampaignOutcome& o = out[seg];
+    o.shards_done = completed.size();
+    o.result = merge_results(completed);
     // Batch count is deterministic (completed batches); the steal
     // count is genuine timing telemetry and varies run to run.
-    out.result.sched.batches = out.shards_done;
-    out.result.sched.steals = counters.steals;
+    o.result.sched.batches = o.shards_done;
+    o.result.sched.steals = counters.steals;
+    o.status = o.shards_done == o.shards_total ? RunStatus::kComplete
+                                               : status_from(stop.reason());
   }
-  out.status = out.shards_done == out.shards_total
-                   ? RunStatus::kComplete
-                   : status_from(stop.reason());
   return out;
 }
 

@@ -1,8 +1,10 @@
 #include "analysis/campaign_suite.hpp"
 
-#include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/campaign_driver.hpp"
 
@@ -10,41 +12,95 @@ namespace prt::analysis {
 
 namespace {
 
-/// One configuration, prepared for scheduling: the generated universe
-/// plus a type-erased shard runner over the configuration's driver.
-/// The driver is owned by the closure so PRT and March configurations
-/// flow through one schedule.
+/// One configuration, prepared for the replay: its generated universe
+/// and its driver.  A null driver marks a configuration that a stop
+/// pre-empted before its universe was generated.
+template <typename Driver>
 struct Prepared {
   std::vector<mem::Fault> universe;
-  std::string name;
-  std::function<bool(std::span<const mem::Fault>, std::size_t, std::size_t,
-                     CampaignResult&, const util::StopToken&)>
-      run_shard;
+  std::unique_ptr<Driver> driver;
 };
-
-/// Throws std::invalid_argument on a malformed universe
-/// (CampaignDriver::validate_universe), before any shard is scheduled.
-template <typename Driver>
-Prepared prepared_from(std::shared_ptr<Driver> driver,
-                       std::vector<mem::Fault> universe, std::string name) {
-  driver->validate_universe(universe);
-  Prepared p;
-  p.universe = std::move(universe);
-  p.name = std::move(name);
-  p.run_shard = [driver = std::move(driver)](
-                    std::span<const mem::Fault> faults, std::size_t begin,
-                    std::size_t end, CampaignResult& out,
-                    const util::StopToken& stop) {
-    return driver->run_shard(faults, begin, end, out, stop);
-  };
-  return p;
-}
 
 std::string config_label(const CampaignOptions& opt) {
   std::string label = "n=" + std::to_string(opt.n);
   if (opt.m != 1) label += " m=" + std::to_string(opt.m);
   if (opt.ports != 1) label += " ports=" + std::to_string(opt.ports);
   return label;
+}
+
+/// CampaignSuite::run after the grid check, over the drivers
+/// `make(opt)` builds (a suite is all-PRT or all-March, so one Driver
+/// type).  Two phases on one scheduler: prepare every configuration,
+/// one batch each, then replay every configuration's faults in one
+/// multi-segment run_sharded call; then fold the outcomes.
+template <typename Driver, typename MakeDriver>
+SuiteResult run_grid(std::span<const CampaignOptions> configs,
+                     const UniverseGenerator& universe, unsigned workers,
+                     std::unique_ptr<util::ThreadPool>& pool,
+                     const util::StopToken& stop, MakeDriver&& make) {
+  const std::size_t count = configs.size();
+  // Prepare: generate the universe, build the driver through the same
+  // detail::make_driver path (and OracleCache) the standalone engines
+  // use, validate the universe.  A throwing generator or factory, or a
+  // malformed universe, fails the call here, before any replay starts.
+  std::vector<Prepared<Driver>> prepared(count);
+  detail::for_each_batch(count, workers, pool, [&](std::size_t c) {
+    if (stop.stop_requested()) return;
+    Prepared<Driver>& p = prepared[c];
+    p.universe = universe(configs[c], c);
+    p.driver = make(configs[c]);
+    p.driver->validate_universe(p.universe);
+  });
+
+  // Replay: one segment per prepared configuration, each cut into its
+  // driver's fixed batches and merged in batch order, so each result
+  // is bit-identical to a standalone engine run at any thread count.
+  // Every driver shares the suite's EngineOptions, hence one batch
+  // size.
+  std::vector<const Prepared<Driver>*> live;
+  std::vector<std::size_t> sizes;
+  for (const Prepared<Driver>& p : prepared) {
+    if (!p.driver) continue;
+    live.push_back(&p);
+    sizes.push_back(p.universe.size());
+  }
+  const std::size_t batch = live.empty() ? 1 : live[0]->driver->batch_size();
+  std::vector<CampaignOutcome> outcomes = detail::run_sharded(
+      sizes, workers, batch, pool,
+      [&](std::size_t segment, std::size_t begin, std::size_t end,
+          CampaignResult& shard) {
+        const Prepared<Driver>& p = *live[segment];
+        return p.driver->run_shard(p.universe, begin, end, shard, stop);
+      },
+      stop);
+
+  SuiteResult out;
+  out.configs.reserve(count);
+  for (std::size_t c = 0, segment = 0; c < count; ++c) {
+    SuiteConfigResult entry;
+    entry.options = configs[c];
+    entry.status = status_from(stop.reason());
+    if (const Prepared<Driver>& p = prepared[c]; p.driver) {
+      CampaignOutcome& o = outcomes[segment++];
+      entry.workload = p.driver->workload().name();
+      entry.faults = p.universe.size();
+      entry.result = std::move(o.result);
+      entry.status = o.status;
+      entry.shards_done = o.shards_done;
+      entry.shards_total = o.shards_total;
+    }
+    if (entry.status != RunStatus::kComplete) out.status = entry.status;
+    for (const auto& [cls, cov] : entry.result.by_class) {
+      auto& acc = out.by_class[cls];
+      acc.detected += cov.detected;
+      acc.total += cov.total;
+    }
+    out.overall.detected += entry.result.overall.detected;
+    out.overall.total += entry.result.overall.total;
+    out.ops += entry.result.ops;
+    out.configs.push_back(std::move(entry));
+  }
+  return out;
 }
 
 }  // namespace
@@ -54,29 +110,9 @@ struct CampaignSuite::Impl {
   SchemeFactory factory;
   std::optional<march::MarchTest> march_test;
   EngineOptions engine;
-  /// The one pool every configuration's shards flatten onto; spun up
-  /// on the first multi-worker run() and reused across runs.
+  /// The one pool both phases of every run() fan out on; spun up on
+  /// the first multi-worker run() and reused across runs.
   mutable std::unique_ptr<util::ThreadPool> pool;
-
-  /// Generates the universe and builds the driver for one
-  /// configuration — through the same detail::make_driver path the
-  /// standalone engines use, so per-configuration behaviour (and the
-  /// OracleCache reuse) is identical by construction.
-  [[nodiscard]] Prepared prepare(const CampaignOptions& opt, std::size_t index,
-                                 const UniverseGenerator& universe) const {
-    if (march_test) {
-      std::shared_ptr<detail::MarchDriver> driver =
-          detail::make_driver(*march_test, opt, engine);
-      std::string name = march_test->name;
-      return prepared_from(std::move(driver), universe(opt, index),
-                           std::move(name));
-    }
-    std::shared_ptr<detail::PrtDriver> driver =
-        detail::make_driver(factory(opt), opt, engine);
-    std::string name = driver->workload().name();
-    return prepared_from(std::move(driver), universe(opt, index),
-                         std::move(name));
-  }
 };
 
 CampaignSuite::CampaignSuite(SchemeFactory factory,
@@ -109,116 +145,21 @@ SuiteResult CampaignSuite::run(std::span<const CampaignOptions> configs,
   // generated or any task scheduled — a malformed grid point fails the
   // whole request up-front instead of mid-flight on a worker.
   for (const CampaignOptions& opt : configs) validate_campaign_options(opt);
-
-  const std::size_t count = configs.size();
-  std::vector<Prepared> prepared(count);
-  /// Per-configuration shard slots, merged in shard order — the same
-  /// contiguous-ascending-ranges merge the standalone engines use, so
-  /// each configuration's result is bit-identical to its standalone
-  /// run no matter how the flattened schedule interleaved the work.
-  std::vector<std::vector<CampaignResult>> shards(count);
-  /// Per-shard completion flags (unsigned char, not vector<bool>: each
-  /// task writes only its own slot, which bit-packing would turn into
-  /// a data race) plus a per-configuration "universe was generated"
-  /// flag — a stop can pre-empt a configuration before prepare().
-  std::vector<std::vector<unsigned char>> done(count);
-  std::vector<unsigned char> generated(count, 0);
-
-  const unsigned workers = impl_->engine.threads != 0
-                               ? impl_->engine.threads
-                               : util::default_worker_count();
-  if (workers == 1) {
-    for (std::size_t c = 0; c < count; ++c) {
-      if (stop.stop_requested()) break;
-      prepared[c] = impl_->prepare(configs[c], c, universe);
-      generated[c] = 1;
-      shards[c].resize(1);
-      done[c].assign(1, 0);
-      done[c][0] = prepared[c].run_shard(prepared[c].universe, 0,
-                                         prepared[c].universe.size(),
-                                         shards[c][0], stop)
-                       ? 1
-                       : 0;
-    }
-  } else {
-    if (!impl_->pool) impl_->pool = std::make_unique<util::ThreadPool>(workers);
-    util::ThreadPool& pool = *impl_->pool;
-    // Worker exceptions (universe generator, scheme factory, malformed
-    // faults) are captured and rethrown on the caller after the whole
-    // schedule drained — same contract as ThreadPool::
-    // parallel_for_chunks.
-    util::ErrorCollector errors;
-    for (std::size_t c = 0; c < count; ++c) {
-      // One prepare task per configuration; each fans its own shard
-      // tasks out onto the same pool as soon as it is ready, so small
-      // configurations interleave with big ones instead of waiting
-      // for them.  The shard partition is util::for_each_chunk — the
-      // same contiguous-ascending splitter parallel_for_chunks uses,
-      // which the bit-identical shard-order merge relies on.
-      pool.submit([&, c] {
-        errors.guard([&] {
-          if (stop.stop_requested()) return;
-          prepared[c] = impl_->prepare(configs[c], c, universe);
-          generated[c] = 1;
-          const std::size_t total = prepared[c].universe.size();
-          if (total == 0) return;
-          const auto shard_count = std::min<std::size_t>(workers, total);
-          shards[c].resize(shard_count);
-          done[c].assign(shard_count, 0);
-          util::for_each_chunk(
-              total, workers,
-              [&, c](unsigned s, std::size_t begin, std::size_t end) {
-                pool.submit([&, c, s, begin, end] {
-                  errors.guard([&] {
-                    done[c][s] =
-                        prepared[c].run_shard(prepared[c].universe, begin,
-                                              end, shards[c][s], stop)
-                            ? 1
-                            : 0;
-                  });
-                });
-              });
+  const EngineOptions& engine = impl_->engine;
+  const unsigned workers = detail::worker_count(engine);
+  if (impl_->march_test) {
+    const march::MarchTest& test = *impl_->march_test;
+    return run_grid<detail::MarchDriver>(
+        configs, universe, workers, impl_->pool, stop,
+        [&](const CampaignOptions& opt) {
+          return detail::make_driver(test, opt, engine);
         });
+  }
+  return run_grid<detail::PrtDriver>(
+      configs, universe, workers, impl_->pool, stop,
+      [&](const CampaignOptions& opt) {
+        return detail::make_driver(impl_->factory(opt), opt, engine);
       });
-    }
-    pool.wait_idle();
-    errors.rethrow_if_any();
-  }
-
-  SuiteResult out;
-  out.configs.reserve(count);
-  bool all_complete = true;
-  for (std::size_t c = 0; c < count; ++c) {
-    SuiteConfigResult entry;
-    entry.options = configs[c];
-    entry.workload = prepared[c].name;
-    entry.faults = prepared[c].universe.size();
-    entry.shards_total = shards[c].size();
-    std::vector<CampaignResult> completed;
-    completed.reserve(shards[c].size());
-    for (std::size_t s = 0; s < shards[c].size(); ++s) {
-      if (done[c][s] != 0) completed.push_back(std::move(shards[c][s]));
-    }
-    entry.shards_done = completed.size();
-    entry.result = merge_results(completed);
-    const bool complete =
-        generated[c] != 0 && entry.shards_done == entry.shards_total;
-    entry.status =
-        complete ? RunStatus::kComplete : status_from(stop.reason());
-    all_complete = all_complete && complete;
-    for (const auto& [cls, cov] : entry.result.by_class) {
-      auto& acc = out.by_class[cls];
-      acc.detected += cov.detected;
-      acc.total += cov.total;
-    }
-    out.overall.detected += entry.result.overall.detected;
-    out.overall.total += entry.result.overall.total;
-    out.ops += entry.result.ops;
-    out.configs.push_back(std::move(entry));
-  }
-  out.status =
-      all_complete ? RunStatus::kComplete : status_from(stop.reason());
-  return out;
 }
 
 Table SuiteResult::table() const {

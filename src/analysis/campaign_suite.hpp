@@ -9,25 +9,26 @@
 //  * one workload (a PRT scheme *factory*, since schemes are sized per
 //    n, or one March test) plus a list of CampaignOptions and a
 //    universe *generator* called once per configuration;
-//  * every configuration's universe is generated, its golden
-//    artifacts fetched from the shared analysis::OracleCache (so a
-//    port sweep at one n compiles its oracle once, and repeated
-//    sweeps recompile nothing), and its fault shards flattened with
-//    every other configuration's onto ONE worker pool — small
-//    configurations never serialize behind big ones and the pool is
-//    spawned once per suite, not once per point;
-//  * per-configuration shard results are merged in shard order, so
-//    each configuration's CampaignResult is bit-identical to a
-//    standalone CampaignEngine / MarchCampaign run over the same
-//    universe, at any thread count (pinned by
-//    tests/test_campaign_suite.cpp);
+//  * run() first prepares every configuration, one scheduler batch
+//    each: its universe is generated, its driver built with golden
+//    artifacts from the shared analysis::OracleCache (so a port sweep
+//    at one n compiles its oracle once, and repeated sweeps recompile
+//    nothing), and its universe validated — a throwing generator or a
+//    malformed fault fails the call before any replay starts;
+//  * then ONE batch fan-out replays every configuration: each
+//    configuration is cut into the standalone engine's fixed batches
+//    (4 lane sweeps each), every configuration's batches share one
+//    work-stealing schedule on one pool spawned once per suite, and
+//    each configuration's batches merge in batch order — so its
+//    CampaignResult and shard counts are those of a standalone
+//    CampaignEngine / MarchCampaign run over the same universe, at any
+//    thread count (pinned by tests/test_campaign_suite.cpp);
 //  * the merged SuiteResult additionally carries the aggregate
 //    coverage/ops rollup and renders the per-configuration coverage
 //    table.
 //
-// See DESIGN.md §10 and bench/bench_campaign.cpp's suite section for
-// the measured speedup over running the same grid as sequential
-// engines.
+// See DESIGN.md §10 and §20, and bench/bench_campaign.cpp's suite
+// section for the grid timed against sequential engines.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +75,8 @@ struct SuiteConfigResult {
   /// stop cause otherwise.  A configuration the stop pre-empted before
   /// its universe was even generated reports 0 shards.
   RunStatus status = RunStatus::kComplete;
+  /// Completed and total batches of this configuration; the total
+  /// equals a standalone engine run's CampaignOutcome::shards_total.
   std::size_t shards_done = 0;
   std::size_t shards_total = 0;
 };
@@ -111,8 +114,8 @@ class CampaignSuite {
   CampaignSuite(const CampaignSuite&) = delete;
   CampaignSuite& operator=(const CampaignSuite&) = delete;
 
-  /// Runs every configuration's campaign, flattening (configuration x
-  /// shard) tasks onto one pool.  Throws std::invalid_argument on any
+  /// Runs every configuration's campaign, all configurations' batches
+  /// on one schedule over one pool.  Throws std::invalid_argument on any
   /// malformed configuration (validate_campaign_options, checked
   /// up-front for every configuration before any work is scheduled).
   /// Not safe to call concurrently on one suite; distinct suites are
@@ -120,8 +123,8 @@ class CampaignSuite {
   [[nodiscard]] SuiteResult run(std::span<const CampaignOptions> configs,
                                 const UniverseGenerator& universe) const;
 
-  /// Cancellable suite run: every shard task polls `stop`, interrupted
-  /// shards are discarded whole, and each configuration's result is
+  /// Cancellable suite run: every batch polls `stop`, interrupted
+  /// batches are discarded whole, and each configuration's result is
   /// the exact merge of its completed shards (statuses on the config
   /// entries and the SuiteResult say what was cut short).  With a
   /// never-stopping token the result is bit-identical to run().

@@ -4,15 +4,14 @@
 // fault universe over a hardware-concurrency-sized pool and merge the
 // per-worker partial results in shard order, so parallel output is
 // bit-identical to the serial path.  The pool is deliberately minimal:
-// fixed worker count, a mutex-guarded task queue, and two blocking
-// fan-out helpers — `parallel_for_chunks` (N items as W contiguous
-// chunks, one per worker) and `parallel_for_batches` (N items as
-// fixed-size batches idle workers *steal* from each other's home
-// ranges, for workloads whose per-item cost varies enough that a
-// static split leaves cores idle).  Determinism is the caller's merge
-// discipline, not the schedule: both helpers hand out dense index
-// ranges, so folding per-index results in index order is bit-identical
-// at any worker count regardless of which worker ran what.
+// fixed worker count, a mutex-guarded task queue, and one blocking
+// fan-out helper, `parallel_for_batches` (N items as fixed-size
+// batches idle workers *steal* from each other's home ranges, for
+// workloads whose per-item cost varies enough that a static split
+// leaves cores idle).  Determinism is the caller's merge discipline,
+// not the schedule: the helper hands out dense index ranges, so
+// folding per-index results in index order is bit-identical at any
+// worker count regardless of which worker ran what.
 //
 // Lock discipline is machine-checked: every shared field is
 // GUARDED_BY the pool mutex and CI's clang lane compiles this header
@@ -40,9 +39,8 @@ namespace prt::util {
 /// First-exception collector for task fan-outs: workers run their
 /// bodies through guard(), the submitting thread rethrows after the
 /// fan-out drains.  An exception escaping a worker thread would
-/// otherwise std::terminate the process.  Shared by
-/// ThreadPool::parallel_for_chunks and the campaign suite's flattened
-/// schedule (analysis/campaign_suite).
+/// otherwise std::terminate the process.  Used by
+/// ThreadPool::parallel_for_batches.
 class ErrorCollector {
  public:
   /// Runs fn, capturing the first exception (in completion order).
@@ -76,12 +74,11 @@ class ErrorCollector {
 
 /// Splits [0, total) into `parts` contiguous ascending chunks — dense
 /// chunk indices, sizes differing by at most one — and calls
-/// fn(chunk, begin, end) for each, synchronously.  This is THE
-/// partition shape every campaign merge relies on (contiguous
-/// ascending ranges folded in chunk order are what make parallel
-/// results bit-identical to serial ones); keep every fan-out on this
-/// one splitter.  parts is clamped to [1, total]; total = 0 calls
-/// nothing.
+/// fn(chunk, begin, end) for each, synchronously.  It lays out
+/// parallel_for_batches' home ranges and the campaign service's
+/// checkpointed shards; contiguous ascending ranges folded in chunk
+/// order are what make parallel results bit-identical to serial ones.
+/// parts is clamped to [1, total]; total = 0 calls nothing.
 template <typename Fn>
 void for_each_chunk(std::size_t total, std::size_t parts, Fn&& fn) {
   if (total == 0) return;
@@ -159,7 +156,7 @@ class ThreadPool {
   /// the first escaped exception is captured (take_unhandled_error())
   /// and the worker keeps draining — structured fan-outs that need
   /// their errors rethrown on the submitter wrap tasks in an
-  /// ErrorCollector instead (parallel_for_chunks does).
+  /// ErrorCollector instead (parallel_for_batches does).
   void submit(std::function<void()> task) PRT_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
@@ -192,30 +189,6 @@ class ThreadPool {
     return std::exchange(unhandled_, nullptr);
   }
 
-  /// Splits [0, total) into one contiguous chunk per worker and runs
-  /// `fn(chunk_index, begin, end)` on the pool, blocking until all
-  /// chunks are done.  Chunk `i` covers a contiguous, ascending index
-  /// range, and chunk indices are dense in [0, chunks), so callers can
-  /// merge per-chunk results deterministically regardless of which
-  /// worker ran them or in which order they finished.  If any chunk
-  /// throws, the first exception (in completion order) is rethrown on
-  /// the calling thread after every chunk has finished — an exception
-  /// escaping a worker thread would otherwise std::terminate the
-  /// process.
-  void parallel_for_chunks(
-      std::size_t total,
-      const std::function<void(unsigned, std::size_t, std::size_t)>& fn) {
-    ErrorCollector errors;
-    for_each_chunk(total, workers(),
-                   [&](unsigned i, std::size_t begin, std::size_t end) {
-                     submit([&fn, &errors, i, begin, end] {
-                       errors.guard([&] { fn(i, begin, end); });
-                     });
-                   });
-    wait_idle();
-    errors.rethrow_if_any();
-  }
-
   /// Work-stealing fan-out: splits [0, total) into ceil(total /
   /// batch_size) fixed-size batches, assigns each worker a contiguous
   /// *home range* of batch indices, and runs
@@ -239,8 +212,10 @@ class ThreadPool {
   /// index below the range end is returned to exactly one claimant and
   /// overshoot past the end claims nothing.  If a batch throws, its
   /// claimant abandons the rest of its draining (thieves still pick up
-  /// the unclaimed remainder) and the first exception is rethrown here
-  /// after the fan-out drains, like parallel_for_chunks.
+  /// the unclaimed remainder) and the first exception (in completion
+  /// order) is rethrown here after the fan-out drains — an exception
+  /// escaping a worker thread would otherwise std::terminate the
+  /// process.
   ///
   /// Returns the executed/stolen batch counters (telemetry only;
   /// meaningless when an exception was rethrown).  batch_size is

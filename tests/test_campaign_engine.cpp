@@ -182,11 +182,11 @@ TEST(PrtAlgorithmPrefix, RejectsOutOfRangeIterationCounts) {
 }
 
 TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
-  // inject()'s std::invalid_argument contract must survive the
-  // parallel fan-out (worker exceptions are rethrown on the caller,
-  // not left to std::terminate), the packed lane path, the per-fault
-  // path of a non-packable workload (word-oriented March) and the
-  // serial live reference.
+  // inject()'s std::invalid_argument contract must hold on every
+  // entry path: the serial live reference, and both campaign types at
+  // one and several workers, where the driver's up-front
+  // validate_universe rejects the bad fault (bit-oriented PRT and
+  // word-oriented March) before any shard runs.
   const mem::Addr n = 16;
   auto universe = mem::classical_universe(n);
   universe.push_back(mem::Fault::saf({n + 10, 0}, 1));  // out of range
@@ -208,39 +208,6 @@ TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
                                           word_opt, eng),
                  std::invalid_argument);
   }
-}
-
-TEST(ThreadPool, ParallelForChunksRethrowsWorkerExceptions) {
-  util::ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for_chunks(
-          100,
-          [](unsigned, std::size_t begin, std::size_t) {
-            if (begin > 0) throw std::runtime_error("boom");
-          }),
-      std::runtime_error);
-  // The pool stays usable after a throwing batch.
-  std::vector<std::atomic<int>> hits(10);
-  pool.parallel_for_chunks(hits.size(),
-                           [&](unsigned, std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               ++hits[i];
-                             }
-                           });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ChunksCoverEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<std::atomic<int>> hits(101);
-  pool.parallel_for_chunks(hits.size(),
-                           [&](unsigned, std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               ++hits[i];
-                             }
-                           });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, SubmitAndWaitIdleRunsEverything) {

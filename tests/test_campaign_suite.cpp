@@ -87,6 +87,54 @@ TEST(CampaignSuite, PrtSuiteThreadCountInvariant) {
   EXPECT_EQ(a.ops, c.ops);
 }
 
+// The suite cuts each configuration into the standalone engine's
+// fixed batches (4 lane sweeps each), so per configuration the shard
+// counts, and not only the merged result, match a standalone run.
+// Classical n = 512 spans several batches at every width; the last
+// two grid points are a one-fault and an empty universe, which run as
+// one batch each, as does every configuration at one worker.
+TEST(CampaignSuite, ConfigPartitionMatchesStandaloneEngine) {
+  const std::vector<CampaignOptions> configs = {
+      {.n = 512}, {.n = 24}, {.n = 64, .ports = 2}, {.n = 32}, {.n = 16}};
+  auto universe_for = [](const CampaignOptions& opt, std::size_t index) {
+    auto u = mem::classical_universe(opt.n);
+    if (index == 3) u.resize(1);
+    if (index == 4) u.clear();
+    return u;
+  };
+  auto factory = [](const CampaignOptions& opt) {
+    return core::standard_scheme_bom(opt.n);
+  };
+  ASSERT_GT(universe_for(configs[0], 0).size(), 4u * 512u);
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    for (const unsigned lane_width : {64u, 512u}) {
+      const EngineOptions eng{.threads = threads, .lane_width = lane_width};
+      const SuiteResult suite =
+          run_prt_suite(configs, factory, universe_for, eng);
+      ASSERT_EQ(suite.configs.size(), configs.size());
+      EXPECT_EQ(suite.status, RunStatus::kComplete);
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        const auto universe = universe_for(configs[c], c);
+        const CampaignEngine engine(factory(configs[c]), configs[c], eng);
+        const CampaignOutcome standalone =
+            engine.run(universe, util::StopToken());
+        const SuiteConfigResult& got = suite.configs[c];
+        EXPECT_EQ(got.shards_total, standalone.shards_total)
+            << "threads=" << threads << " w=" << lane_width << " c=" << c;
+        EXPECT_EQ(got.shards_done, standalone.shards_done);
+        EXPECT_EQ(got.status, standalone.status);
+        EXPECT_EQ(got.result, standalone.result);
+        EXPECT_EQ(got.result.sched.batches, standalone.result.sched.batches);
+      }
+      const std::size_t batch = 4 * lane_width;
+      EXPECT_EQ(suite.configs[0].shards_total,
+                threads == 1 ? 1
+                             : (universe_for(configs[0], 0).size() + batch - 1) /
+                                   batch);
+    }
+  }
+}
+
 TEST(CampaignSuite, SuiteReusableAcrossRuns) {
   const std::vector<CampaignOptions> configs = {{.n = 24}, {.n = 32}};
   EngineOptions eng;
@@ -185,6 +233,31 @@ TEST(CampaignSuite, WorkerExceptionsPropagateAndSuiteStaysUsable) {
   // The pool survives a throwing run.
   const SuiteResult ok = suite.run(configs, classical_for);
   EXPECT_EQ(ok.configs.size(), configs.size());
+}
+
+// A stop that lands before the run pre-empts every configuration
+// before its universe is generated: each reports no faults and no
+// shards, with the stop's cause, at one worker and at several.
+TEST(CampaignSuite, StopBeforeRunPreemptsEveryConfiguration) {
+  const std::vector<CampaignOptions> configs = {{.n = 24}, {.n = 32}};
+  for (const unsigned threads : {1u, 3u}) {
+    const CampaignSuite suite(
+        [](const CampaignOptions& opt) {
+          return core::standard_scheme_bom(opt.n);
+        },
+        {.threads = threads});
+    util::StopSource source;
+    source.request_stop();
+    const SuiteResult out = suite.run(configs, classical_for, source.token());
+    EXPECT_EQ(out.status, RunStatus::kCancelled);
+    ASSERT_EQ(out.configs.size(), configs.size());
+    for (const SuiteConfigResult& entry : out.configs) {
+      EXPECT_EQ(entry.status, RunStatus::kCancelled);
+      EXPECT_EQ(entry.faults, 0u);
+      EXPECT_EQ(entry.shards_total, 0u);
+      EXPECT_EQ(entry.result, CampaignResult{});
+    }
+  }
 }
 
 // --- OracleCache ----------------------------------------------------

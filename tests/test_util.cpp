@@ -627,24 +627,6 @@ TEST(ErrorCollector, FirstErrorWinsUnderConcurrentGuards) {
   EXPECT_THROW(errors.rethrow_if_any(), std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelForChunksStillRethrowsGuardedErrors) {
-  util::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for_chunks(
-          100,
-          [](unsigned, std::size_t begin, std::size_t) {
-            if (begin == 0) throw std::invalid_argument("chunk failed");
-          }),
-      std::invalid_argument);
-  // The pool survives for subsequent work.
-  std::atomic<int> ran{0};
-  pool.parallel_for_chunks(8, [&ran](unsigned, std::size_t begin,
-                                     std::size_t end) {
-    ran += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(ran.load(), 8);
-}
-
 // --- for_each_chunk / work-stealing batch scheduler ------------------------
 
 // The contiguous splitter is the partition every campaign merge trusts:
@@ -824,8 +806,8 @@ TEST(ThreadPool, StolenBatchMergeIsBitIdenticalToContiguousSplit) {
   }
 }
 
-// A throwing batch surfaces on the caller like parallel_for_chunks,
-// and the pool stays usable afterwards.
+// A throwing batch surfaces on the caller, and the pool stays usable
+// afterwards.
 TEST(ThreadPool, ParallelForBatchesRethrowsFirstBatchError) {
   util::ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for_batches(
