@@ -149,13 +149,13 @@ class MarchWorkload {
   }
 
   /// Same contract as PrtWorkload::run_batch; the replay stops at the
-  /// read that latches the last pending lane.  The March replay keeps
-  /// its plane buffer on the stack, so it needs no scratch.
+  /// read that latches the last pending lane.  The scratch holds the
+  /// sparse replay's sorted touched cells.
   template <typename W>
-  std::pair<W, std::uint64_t> run_batch(mem::PackedFaultRamT<W>& batch,
-                                        core::PackedScratchT<W>&) const {
+  std::pair<W, std::uint64_t> run_batch(
+      mem::PackedFaultRamT<W>& batch, core::PackedScratchT<W>& scratch) const {
     const march::MarchPackedVerdictT<W> v = march::run_march_packed(
-        batch, entry_->transcript, {.early_abort = true});
+        batch, entry_->transcript, {.early_abort = true}, scratch);
     return {v.detected & batch.active_mask(),
             charged_ops(early_abort_, v.scalar_ops, batch.lanes_used(),
                         entry_->transcript)};

@@ -231,7 +231,7 @@ class CampaignService {
     /// wider-than-64 SIMD lane word (CampaignResult::sched.wide_faults).
     std::uint64_t packed_faults = 0;
     std::uint64_t wide_faults = 0;
-    /// Packed accesses the lane batches actually performed
+    /// Transcript ops the lane batches advanced through
     /// (CampaignResult::sched.replayed_ops; shards restored from a
     /// checkpoint add 0).  Against each batch's full transcript cost it
     /// shows how much replay fault dropping saved.

@@ -77,10 +77,10 @@ inline constexpr std::size_t kLaneGroups =
 /// per-fault live reference *and* to itself at any other lane width
 /// or packing order (the per-lane verdicts are width- and
 /// neighbour-invariant; only the sched telemetry records which width
-/// ran and how many packed accesses the batches issued).  Polls `stop`
-/// per fault; returns false (shard abandoned — `out` is partial and
-/// must be discarded) once a stop is observed, true when the shard ran
-/// to completion.  A default-constructed token never stops, so the
+/// ran and how many transcript ops the batches advanced through).
+/// Polls `stop` per fault; returns false (shard abandoned — `out` is
+/// partial and must be discarded) once a stop is observed, true when
+/// the shard ran to completion.  A default-constructed token never stops, so the
 /// poll is one null check on the non-cancellable paths.
 template <typename W, typename RunBatch>
 bool lane_batched_shard(std::span<const mem::Fault> universe,

@@ -54,11 +54,14 @@ struct SchedTelemetry {
   /// Widest lane word any batch of the run used (64 when packing never
   /// went wide; 0 when nothing ran packed).
   unsigned max_lanes = 0;
-  /// Packed accesses the lane batches actually performed
-  /// (mem::PackedFaultRamT::ops() summed over every flushed batch).  A
-  /// batch stops replaying once all its lanes have latched, so this
-  /// sits below (batches x the transcript's total_ops()) whenever
-  /// dropping fires; 0 when nothing ran packed.
+  /// Transcript ops the lane batches advanced through
+  /// (mem::PackedFaultRamT::ops() summed over every flushed batch).
+  /// The dense replays issue each of them as a packed access; the
+  /// sparse March replay issues only those to touched cells and seeks
+  /// the ram's counters over the rest, so this counts positions, not
+  /// accesses.  A batch stops replaying once all its lanes have
+  /// latched, so this sits below (batches x the transcript's
+  /// total_ops()) whenever dropping fires; 0 when nothing ran packed.
   std::uint64_t replayed_ops = 0;
 };
 

@@ -92,7 +92,10 @@ struct PrtIterSpan {
 /// [begin, end) hold the element's operations flattened in traversal
 /// order, `period` ops per address, read_mask bit j set when op j of
 /// each period is a read (golden = expected data bit) instead of a
-/// write (golden = data bit to write).
+/// write (golden = data bit to write).  Address a's period starts at
+/// record begin + a * period when ascending, begin + (n - 1 - a) *
+/// period when descending — which is how the sparse March replay finds
+/// a cell's ops without scanning the element.
 struct MarchSegment {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -100,6 +103,8 @@ struct MarchSegment {
   std::uint32_t read_mask = 0;
   /// A "Del" element: no records, one advance_time(delay_ticks).
   bool is_delay = false;
+  /// Addresses run n - 1 down to 0 (a "v" element).
+  bool descending = false;
 };
 
 /// A compiled golden op stream.  Exactly one of `iterations` (PRT) or
@@ -119,6 +124,13 @@ struct OpTranscript {
   // --- March side ---
   std::vector<MarchSegment> march;
   std::uint64_t delay_ticks = 0;
+  /// True when a zero-initialised fault-free memory replaying `recs`
+  /// reads every read record's golden (march::make_march_transcript
+  /// simulates it once).  Then a cell no fault can reach always reads
+  /// its golden, so the March replay may skip it; false for a test
+  /// that reads a cell before writing the expected value into it, and
+  /// for any transcript not built by make_march_transcript.
+  bool zero_init_reads_golden = false;
   /// Reads + writes of one complete live run (the non-abort
   /// per-fault op cost).
   std::uint64_t total_reads = 0;

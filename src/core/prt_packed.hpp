@@ -71,13 +71,15 @@ struct PackedRunOptions {
 /// Reusable replay scratch: the bit-sliced MISR state plus the word
 /// path's plane buffers (read word, feedback accumulator — 2 * width
 /// lane words; unused and unallocated on the GF(2) path, whose
-/// feedback accumulates inline).  Campaign shard loops own one per
-/// lane width and pass it to every batch instead of reallocating per
-/// batch.
+/// feedback accumulates inline), and the sparse March replay's sorted
+/// touched cells (march::run_march_packed).  Campaign shard loops own
+/// one per lane width and pass it to every batch instead of
+/// reallocating per batch.
 template <typename W>
 struct PackedScratchT {
   std::vector<W> misr;
   std::vector<W> planes;
+  std::vector<mem::Addr> cells;
 };
 
 using PackedScratch = PackedScratchT<mem::LaneWord>;

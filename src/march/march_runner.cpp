@@ -1,6 +1,8 @@
 #include "march/march_runner.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -93,6 +95,10 @@ core::OpTranscript make_march_transcript(
   }
   t.recs.reserve(rec_count * backgrounds.size());
   t.march.reserve(test.elements.size() * backgrounds.size());
+  // A fault-free memory from zero, replayed alongside the compile: does
+  // every read record find its golden there?
+  std::vector<mem::Word> fault_free(n, 0);
+  t.zero_init_reads_golden = true;
   // Backgrounds follow one another with no reset in between, exactly
   // like run_march_backgrounds: memory state and the clock carry over.
   for (const mem::Word bg : backgrounds) {
@@ -122,10 +128,17 @@ core::OpTranscript make_march_transcript(
       }
       auto emit = [&](mem::Addr addr) {
         for (const MarchOp& op : elem.ops) {
-          t.recs.push_back({addr, (op.data == 0 ? bg : ~bg) & mask});
+          const mem::Word data = (op.data == 0 ? bg : ~bg) & mask;
+          t.recs.push_back({addr, data});
+          if (!op.is_read()) {
+            fault_free[addr] = data;
+          } else if (fault_free[addr] != data) {
+            t.zero_init_reads_golden = false;
+          }
         }
       };
-      if (elem.order == Order::kDown) {
+      seg.descending = elem.order == Order::kDown;
+      if (seg.descending) {
         for (mem::Addr i = n; i-- > 0;) emit(i);
       } else {
         for (mem::Addr i = 0; i < n; ++i) emit(i);
@@ -209,14 +222,161 @@ MarchPackedVerdictT<W> run_march_packed_word(mem::PackedFaultRamT<W>& ram,
   return verdict;
 }
 
+/// Sparse path of run_march_packed (DESIGN.md §21): replays only the
+/// periods of `cells` (sorted, distinct — every cell a lane's fault
+/// can touch), element by element in traversal order, bit- (kWord
+/// false) or word-oriented.  Every skipped access is to a cell that
+/// holds the test's last write in every lane, so a skipped read
+/// matches its golden and a skipped write changes nothing the lanes
+/// can observe.  What the skipped accesses would have moved is set
+/// from the transcript position instead: the op counters (so clock()
+/// and the retention decay) through ram.seek() before each visited
+/// period, and the sense-amp history a stuck-open lane echoes, which
+/// is the golden of the previous read when the loop skipped it.
+/// Verdict, abort accounting and the ram's final counters equal the
+/// dense replay's.
+template <bool kWord, typename W>
+MarchPackedVerdictT<W> run_march_sparse(mem::PackedFaultRamT<W>& ram,
+                                        const core::OpTranscript& t,
+                                        const MarchRunOptions& options,
+                                        std::span<const mem::Addr> cells) {
+  constexpr std::size_t kNoRead = ~std::size_t{0};
+  const unsigned m = t.width;
+  std::array<W, mem::PackedFaultRamT<W>::kMaxWidth> planes;
+  auto golden_plane = [](const core::OpRec& r, unsigned b) {
+    return mem::lane_broadcast<W>(static_cast<unsigned>((r.golden >> b) & 1U));
+  };
+  const W active = ram.active_mask();
+  MarchPackedVerdictT<W> verdict;
+  verdict.sparse = true;
+  W mismatch{};
+  W pending = active;
+  // Read records before the current segment, the last read record of
+  // the earlier segments and the last read record the loop issued.
+  std::uint64_t seg_reads = 0;
+  std::size_t prev_seg_read = kNoRead;
+  std::size_t issued_read = kNoRead;
+  for (const core::MarchSegment& seg : t.march) {
+    if (seg.is_delay) {
+      ram.advance_time(t.delay_ticks);
+      continue;
+    }
+    const std::uint32_t period = seg.period;
+    const std::uint32_t read_mask = seg.read_mask;
+    const std::uint64_t period_reads =
+        static_cast<std::uint64_t>(std::popcount(read_mask));
+    const std::uint32_t last_read_op =
+        read_mask != 0 ? static_cast<std::uint32_t>(std::bit_width(read_mask)) - 1
+                       : 0;
+    // Replays `cell`'s period of this element; false once every active
+    // lane has retired (early abort).
+    auto visit = [&](mem::Addr cell) {
+      const std::size_t k = seg.descending ? t.n - 1 - cell : cell;
+      const std::size_t first = seg.begin + k * period;
+      const std::uint64_t reads_before = seg_reads + k * period_reads;
+      ram.seek(reads_before, first - reads_before);
+      if (read_mask != 0) {
+        // Only the period's first read can follow a skipped one.
+        const std::size_t prev =
+            k > 0 ? first - period + last_read_op : prev_seg_read;
+        if (prev != kNoRead && prev != issued_read) {
+          ram.set_last_read(t.recs[prev].golden);
+        }
+      }
+      const core::OpRec* r = t.recs.data() + first;
+      for (std::uint32_t j = 0; j < period; ++j, ++r) {
+        if ((read_mask >> j) & 1U) {
+          if constexpr (kWord) {
+            ram.read_word(r->addr, planes.data());
+            for (unsigned b = 0; b < m; ++b) {
+              mismatch |= planes[b] ^ golden_plane(*r, b);
+            }
+          } else {
+            mismatch |= ram.read(r->addr) ^ mem::lane_broadcast<W>(r->golden);
+          }
+          issued_read = first + j;
+          const W newly = pending & mismatch;
+          if (options.early_abort && mem::lane_any(newly)) {
+            // The read's global op index, as in the dense loops.
+            verdict.scalar_ops +=
+                static_cast<std::uint64_t>(mem::lane_popcount(newly)) *
+                (first + j + 1);
+            pending &= ~newly;
+            if (!mem::lane_any(pending)) return false;
+          }
+        } else if constexpr (kWord) {
+          for (unsigned b = 0; b < m; ++b) planes[b] = golden_plane(*r, b);
+          ram.write_word(r->addr, planes.data());
+        } else {
+          ram.write(r->addr, mem::lane_broadcast<W>(r->golden));
+        }
+      }
+      return true;
+    };
+    const bool all_retired =
+        seg.descending
+            ? !std::all_of(cells.rbegin(), cells.rend(), visit)
+            : !std::all_of(cells.begin(), cells.end(), visit);
+    if (all_retired) {
+      verdict.detected = mismatch;
+      return verdict;
+    }
+    seg_reads += std::uint64_t{t.n} * period_reads;
+    if (read_mask != 0) prev_seg_read = seg.end - period + last_read_op;
+  }
+  ram.seek(t.total_reads, t.total_writes);
+  const W full = options.early_abort ? pending : active;
+  verdict.scalar_ops +=
+      static_cast<std::uint64_t>(mem::lane_popcount(full)) * t.total_ops();
+  verdict.detected = mismatch;
+  return verdict;
+}
+
+/// The distinct cells of ram's touched sites, ascending, into `cells`.
+template <typename W>
+void touched_cells(const mem::PackedFaultRamT<W>& ram,
+                   std::vector<mem::Addr>& cells) {
+  cells.clear();
+  for (const std::size_t site : ram.touched_sites()) {
+    cells.push_back(static_cast<mem::Addr>(site / ram.width()));
+  }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+}
+
 }  // namespace
+
+bool sparse_march_applies(const core::OpTranscript& t,
+                          std::size_t touched_cells) {
+  // Crossover, measured on 512-lane March C- batches of van de Goor
+  // faults confined to the low cells (n = 1024 and 8192, one thread):
+  // the sparse bit replay breaks even with the dense loop at about n/3
+  // touched cells without early abort and n/2 with it, since a visited
+  // cell costs more than a fault-free one in the streaming loop.  A
+  // dense word access looks up m sites, so the sparse word replay
+  // (m = 2, 4) still wins up to about n touched cells.  Both limits
+  // keep a margin below break-even.
+  const std::size_t cells_per_touched = t.width > 1 ? 2 : 4;
+  return t.zero_init_reads_golden && touched_cells * cells_per_touched <= t.n;
+}
 
 template <typename W>
 MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
                                         const core::OpTranscript& t,
-                                        const MarchRunOptions& options) {
+                                        const MarchRunOptions& options,
+                                        core::PackedScratchT<W>& scratch) {
   assert(t.n == ram.size());
   assert(t.width == ram.width());
+  // The sparse path starts from the state reset() leaves: every
+  // untouched cell zero, counters and clock at 0.
+  if (t.zero_init_reads_golden && ram.clock() == 0) {
+    touched_cells(ram, scratch.cells);
+    if (sparse_march_applies(t, scratch.cells.size())) {
+      return t.width > 1
+                 ? run_march_sparse<true>(ram, t, options, scratch.cells)
+                 : run_march_sparse<false>(ram, t, options, scratch.cells);
+    }
+  }
   if (t.width > 1) return run_march_packed_word(ram, t, options);
   const W active = ram.active_mask();
   MarchPackedVerdictT<W> verdict;
@@ -271,13 +431,13 @@ MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
 
 template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const core::OpTranscript&,
-    const MarchRunOptions&);
+    const MarchRunOptions&, core::PackedScratchT<mem::LaneWord>&);
 template MarchPackedVerdictT<mem::WideWord<4>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<4>>&, const core::OpTranscript&,
-    const MarchRunOptions&);
+    const MarchRunOptions&, core::PackedScratchT<mem::WideWord<4>>&);
 template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
-    const MarchRunOptions&);
+    const MarchRunOptions&, core::PackedScratchT<mem::WideWord<8>>&);
 
 std::uint64_t run_march_packed(const MarchTest& test,
                                mem::PackedFaultRam& ram, bool background,

@@ -17,13 +17,26 @@
 // issued up to and including it), which is what lets the packed path
 // report per-lane abort ops analytically.  run_march itself stays the
 // differential reference.
+//
+// Sparse replay.  A March test has no feedback from one cell to the
+// next, so a cell that no lane's fault can read or write
+// (mem::PackedFaultRamT::touched_sites) holds exactly what the test
+// last wrote to it and reads its golden value in every lane — provided
+// a fault-free memory starting from zero reads every golden
+// (OpTranscript::zero_init_reads_golden).  When the batch touches few
+// cells against n, run_march_packed walks only the touched cells, in
+// each element's traversal order, and skips the rest: verdicts, op
+// counts, ram.reads()/writes()/clock() and the sense-amp history a
+// stuck-open lane echoes are those of the full replay (DESIGN.md §21).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/op_transcript.hpp"
+#include "core/prt_packed.hpp"
 #include "march/march_test.hpp"
 #include "mem/memory.hpp"
 #include "mem/packed_fault_ram.hpp"
@@ -77,9 +90,10 @@ struct MarchRunOptions {
 
 /// Compiles one (test, n, background-bit) March run on a bit-oriented
 /// memory into a flat op transcript: one core::MarchSegment per
-/// element, records flattened in traversal order with the data bit
-/// resolved against the background.  Built once per campaign and
-/// replayed per fault.
+/// element (its direction in MarchSegment::descending), records
+/// flattened in traversal order with the data bit resolved against the
+/// background, and zero_init_reads_golden from one fault-free pass
+/// over the records.  Built once per campaign and replayed per fault.
 [[nodiscard]] core::OpTranscript make_march_transcript(
     const MarchTest& test, mem::Addr n, bool background,
     std::uint64_t delay_ticks = kDefaultDelayTicks);
@@ -113,6 +127,9 @@ struct MarchPackedVerdictT {
   /// fault: everything up to and including the first mismatching read
   /// under early_abort, the full test otherwise.
   std::uint64_t scalar_ops = 0;
+  /// True when the replay walked only the batch's touched cells
+  /// (sparse_march_applies); every other field is the same either way.
+  bool sparse = false;
 
   /// Width-generic per-lane accessor: lane `lane`'s verdict.
   [[nodiscard]] bool lane_detected(unsigned lane) const {
@@ -125,6 +142,15 @@ struct MarchPackedVerdictT {
 };
 
 using MarchPackedVerdict = MarchPackedVerdictT<mem::LaneWord>;
+
+/// Path choice of run_march_packed for a fresh batch touching
+/// `touched_cells` distinct cells: the sparse replay runs when the
+/// transcript allows skipping untouched cells at all
+/// (zero_init_reads_golden — false for a test that reads a cell before
+/// it writes the expected value) and the touched cells are few enough
+/// against transcript.n that walking them beats the dense loop.
+[[nodiscard]] bool sparse_march_applies(const core::OpTranscript& transcript,
+                                        std::size_t touched_cells);
 
 /// Replays a compiled March transcript bit-parallel over a
 /// mem::PackedFaultRamT (one independent single-fault lane per word
@@ -140,20 +166,36 @@ using MarchPackedVerdict = MarchPackedVerdictT<mem::LaneWord>;
 /// with per-lane op accounting identical to the scalar abort path.
 /// Lanes beyond ram.lanes_used() never deviate, but callers should
 /// still AND with ram.active_mask().
+///
+/// On a ram no access or delay has reached since its last reset (or
+/// construction) the replay takes the sparse path when
+/// sparse_march_applies(transcript, touched cells) holds, keeping the
+/// sorted cell list in scratch.cells.  The path changes no verdict,
+/// op count or ram counter; only peek() of an untouched site can tell,
+/// since the sparse replay never writes one.
 template <typename W>
 [[nodiscard]] MarchPackedVerdictT<W> run_march_packed(
     mem::PackedFaultRamT<W>& ram, const core::OpTranscript& transcript,
-    const MarchRunOptions& options = {});
+    const MarchRunOptions& options, core::PackedScratchT<W>& scratch);
 
 extern template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const core::OpTranscript&,
-    const MarchRunOptions&);
+    const MarchRunOptions&, core::PackedScratchT<mem::LaneWord>&);
 extern template MarchPackedVerdictT<mem::WideWord<4>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<4>>&, const core::OpTranscript&,
-    const MarchRunOptions&);
+    const MarchRunOptions&, core::PackedScratchT<mem::WideWord<4>>&);
 extern template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
-    const MarchRunOptions&);
+    const MarchRunOptions&, core::PackedScratchT<mem::WideWord<8>>&);
+
+/// The same replay with a scratch of its own (one-shot callers, tests).
+template <typename W>
+[[nodiscard]] MarchPackedVerdictT<W> run_march_packed(
+    mem::PackedFaultRamT<W>& ram, const core::OpTranscript& transcript,
+    const MarchRunOptions& options = {}) {
+  core::PackedScratchT<W> scratch;
+  return run_march_packed(ram, transcript, options, scratch);
+}
 
 /// Convenience overload compiling the transcript on the fly (one-shot
 /// callers, tests): the detected mask of a full run without early

@@ -32,10 +32,21 @@ PackedFaultRamT<W>::PackedFaultRamT(Addr cells, unsigned width)
 
 template <typename W>
 void PackedFaultRamT<W>::reset() {
-  std::fill(data_.begin(), data_.end(), W{});
-  for (const std::size_t site : dirty_sites_) slot_of_site_[site] = -1;
+  // An untouched cell is written only by accesses to it, so it still
+  // holds zero unless a write landed outside the touched cells.  A word
+  // write lands every plane of its cell, so the whole cell is cleared.
+  const bool only_touched_written = writes_ == clean_writes_;
+  if (!only_touched_written) std::fill(data_.begin(), data_.end(), W{});
+  for (const std::size_t site : touched_sites_) {
+    slot_of_site_[site] = -1;
+    if (only_touched_written) {
+      const auto cell = data_.begin() + static_cast<std::ptrdiff_t>(
+                                            site - site % width_);
+      std::fill(cell, cell + width_, W{});
+    }
+  }
   site_slots_.clear();
-  dirty_sites_.clear();
+  touched_sites_.clear();
   write_faults_.clear();
   read_faults_.clear();
   coupling_faults_.clear();
@@ -58,6 +69,7 @@ void PackedFaultRamT<W>::reset() {
   reads_ = 0;
   writes_ = 0;
   idle_ticks_ = 0;
+  clean_writes_ = 0;
 }
 
 template <typename W>
@@ -107,20 +119,25 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       slot(read_faults_, vic).sof |= mask;
       has_sof_ = true;
       break;
+    // CFin/CFid victims are not faulty sites (their accesses need no
+    // hook), but the aggressor's writes change them: touched.
     case FaultKind::kCfIn:
       slot(coupling_faults_, agg).cfin |= mask;
       lane_victim_[lane] = vic;
+      touched_sites_.push_back(vic);
       break;
     case FaultKind::kCfIdUp0:
     case FaultKind::kCfIdUp1:
       slot(coupling_faults_, agg).cfid_up |= mask;
       lane_victim_[lane] = vic;
+      touched_sites_.push_back(vic);
       if (fault.kind == FaultKind::kCfIdUp1) forced1_ |= mask;
       break;
     case FaultKind::kCfIdDown0:
     case FaultKind::kCfIdDown1:
       slot(coupling_faults_, agg).cfid_down |= mask;
       lane_victim_[lane] = vic;
+      touched_sites_.push_back(vic);
       if (fault.kind == FaultKind::kCfIdDown1) forced1_ |= mask;
       break;
     case FaultKind::kCfSt0:
@@ -162,6 +179,11 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       }
       if (fault.kind != FaultKind::kAfNoAccess) {
         lane_victim_[lane] = fault.alias;  // alias *cell*, plane per access
+        // The alias cell is read and written through the faulty
+        // address: touched, every plane.
+        for (unsigned p = 0; p < width_; ++p) {
+          touched_sites_.push_back(site_of(fault.alias, p));
+        }
       }
       break;
     }

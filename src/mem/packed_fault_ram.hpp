@@ -52,11 +52,24 @@
 // campaign layer picks the width per batch (wide only when the batch
 // can fill at least half the lanes) without changing any verdict, op
 // count or escape list (analysis/campaign_driver.hpp).
+//
+// Touched sites.  add_fault records every site a lane's fault can read
+// or write (touched_sites()): the faulty sites the slot index lists,
+// plus the CFin/CFid victims and the AF wrong/multi alias cells, which
+// coupling and decoder effects write without being faulty themselves.
+// Every other site only ever holds what was last written to it, in
+// every lane.  The sparse March replay (march/march_runner.hpp) visits
+// only the cells of touched sites and moves the op counters over the
+// skipped accesses with seek(); reset() then clears just those cells
+// when no write has landed anywhere else since the last reset.  The
+// list lives beside slot_of_site_, so the read()/write() fast path
+// below is the same for every replay.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mem/fault.hpp"
@@ -97,8 +110,11 @@ class PackedFaultRamT {
   [[nodiscard]] W active_mask() const { return lane_mask_low<W>(lanes_used_); }
 
   /// Returns to the just-constructed state (all lanes zero, no faults,
-  /// counters zero) without releasing storage.  Only the sites dirtied
-  /// by faults pay a per-site cost; the data array is one memset.
+  /// counters zero) without releasing storage.  Only the touched sites
+  /// pay a per-site cost.  The data array is one memset, skipped when
+  /// every write since the last reset landed on a touched site's cell
+  /// (a run of the sparse March replay, or no write at all), because
+  /// every other cell still holds zero then.
   void reset();
 
   /// Assigns `fault` to the next free lane and returns its index.
@@ -169,6 +185,38 @@ class PackedFaultRamT {
   /// Direct state access for tests (bypasses faults and counters).
   /// `site` = cell * width() + bit plane.
   [[nodiscard]] W peek(Addr site) const { return data_[site]; }
+
+  /// Every site a lane's fault can read or write, in registration
+  /// order, possibly repeated (see the header comment).  A site not
+  /// listed behaves as a plain memory bit in every lane.
+  [[nodiscard]] std::span<const std::size_t> touched_sites() const {
+    return touched_sites_;
+  }
+
+  /// Sets the op counters to a replay position: `reads` reads and
+  /// `writes` writes issued so far, as if the accesses the caller
+  /// skipped had been issued.  clock() and so the retention decay
+  /// follow.  Only for a replay that, since reset(), has issued
+  /// accesses to the cells of touched sites alone and skips accesses
+  /// that cannot change any touched site (the sparse March replay): it
+  /// also records that every other cell still holds zero, which lets
+  /// reset() skip the memset.
+  void seek(std::uint64_t reads, std::uint64_t writes) {
+    reads_ = reads;
+    writes_ = writes;
+    clean_writes_ = writes;
+  }
+
+  /// Sets the port-0 sense-amp history to the data word `data` in
+  /// every lane, as if the last read had returned it — what a
+  /// stuck-open lane echoes at its next read.  For a replay that
+  /// skipped that read.
+  void set_last_read(std::uint32_t data) {
+    if (!has_sof_) return;
+    for (unsigned p = 0; p < width_; ++p) {
+      last_read_[p] = lane_broadcast<W>((data >> p) & 1U);
+    }
+  }
 
  private:
   // Per-family lane masks for one faulty site.  Each fault family keeps
@@ -267,14 +315,14 @@ class PackedFaultRamT {
   }
 
   /// Creates or returns `table`'s record on `site`, registering the
-  /// site as faulty first if it is not yet.
+  /// site as faulty (and touched) first if it is not yet.
   template <typename Table>
   auto& slot(Table& table, std::size_t site) {
     if (slot_of_site_[site] < 0) {
       slot_of_site_[site] = static_cast<std::int16_t>(site_slots_.size());
       site_slots_.emplace_back();
       site_slots_.back().fill(-1);
-      dirty_sites_.push_back(site);
+      touched_sites_.push_back(site);
     }
     return table.slot(
         site_slots_[static_cast<std::size_t>(slot_of_site_[site])]);
@@ -338,7 +386,9 @@ class PackedFaultRamT {
   /// sites look up their families' records.
   std::vector<std::int16_t> slot_of_site_;
   std::vector<SiteSlots> site_slots_;
-  std::vector<std::size_t> dirty_sites_;
+  /// Every faulty site (each listed once, as slot() registers it) plus
+  /// the non-faulty sites coupling and decoder effects write.
+  std::vector<std::size_t> touched_sites_;
   FamilyTable<WriteFaults, kWrite, kLanes> write_faults_;
   FamilyTable<ReadFaults, kRead, kLanes> read_faults_;
   FamilyTable<CouplingFaults, kCoupling, 2 * kLanes> coupling_faults_;
@@ -386,6 +436,10 @@ class PackedFaultRamT {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t idle_ticks_ = 0;
+  /// writes_ as of the last reset() or seek(): while writes_ still
+  /// equals it, every write since the reset landed on the cell of a
+  /// touched site.
+  std::uint64_t clean_writes_ = 0;
 };
 
 /// The status-quo 64-lane instantiation — the name the whole campaign

@@ -23,6 +23,7 @@
 
 #include "analysis/march_campaign.hpp"
 #include "march/march_library.hpp"
+#include "march/march_test.hpp"
 #include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
 #include "mem/packed_fault_ram.hpp"
@@ -604,6 +605,302 @@ TEST(MarchFaultDropping, GroupedBatchesKeepNeverLatchingLanesTogether) {
   expect_identical(reference, got);
   EXPECT_EQ(got.packed_faults, universe.size());
   EXPECT_EQ(got.sched.replayed_ops, saf_ops + full_ops);
+}
+
+// --- sparse replay --------------------------------------------------------
+
+// The path choice: the sparse replay needs a transcript on which a
+// fault-free memory starting from zero reads every golden, and a batch
+// touching at most n/4 cells (n/2 for a word sweep).  A test that
+// opens with a read of 1 fails the first condition; so does March C-'s
+// opening read pattern shifted onto a background whose golden is not
+// the zero the memory starts from.  A leading r0 at background 0 does
+// read its golden from a zero memory, and is allowed.
+TEST(SparseMarch, PathChoiceRefusesTestOpeningWithRead) {
+  const mem::Addr n = 1024;
+  const core::OpTranscript c_minus =
+      march::make_march_transcript(march::march_c_minus(), n, false);
+  EXPECT_TRUE(c_minus.zero_init_reads_golden);
+  EXPECT_TRUE(march::sparse_march_applies(c_minus, 1));
+  EXPECT_TRUE(march::sparse_march_applies(c_minus, n / 4));
+  EXPECT_FALSE(march::sparse_march_applies(c_minus, n / 4 + 1));
+  EXPECT_TRUE(march::make_march_transcript(march::march_c_minus(), n, true)
+                  .zero_init_reads_golden);
+
+  const march::MarchTest read_first =
+      *march::parse_march("{^(r1,w0);v(r0,w1);^(r1)}", "read first");
+  const core::OpTranscript opens_with_r1 =
+      march::make_march_transcript(read_first, n, false);
+  EXPECT_FALSE(opens_with_r1.zero_init_reads_golden);
+  EXPECT_FALSE(march::sparse_march_applies(opens_with_r1, 1));
+  // The same test at background 1 opens with a read of 0.
+  EXPECT_TRUE(march::make_march_transcript(read_first, n, true)
+                  .zero_init_reads_golden);
+  const march::MarchTest r0_first =
+      *march::parse_march("{^(r0,w1);v(r1,w0)}", "r0 first");
+  EXPECT_FALSE(march::make_march_transcript(r0_first, n, true)
+                   .zero_init_reads_golden);
+
+  // Word sweeps: the checkerboard background reads what it wrote.
+  const std::vector<mem::Word> bgs = march::standard_backgrounds(4);
+  const core::OpTranscript sweep =
+      march::make_march_transcript(march::march_c_minus(), n, bgs, 4);
+  EXPECT_TRUE(sweep.zero_init_reads_golden);
+  EXPECT_TRUE(march::sparse_march_applies(sweep, n / 2));
+  EXPECT_FALSE(march::sparse_march_applies(sweep, n / 2 + 1));
+  // Opening with r0 reads the previous background's leftovers.
+  EXPECT_FALSE(march::make_march_transcript(r0_first, n, bgs, 4)
+                   .zero_init_reads_golden);
+
+  // A transcript not compiled by make_march_transcript never qualifies.
+  EXPECT_FALSE(march::sparse_march_applies(core::OpTranscript{}, 0));
+}
+
+/// Every fault family on the "hot" cells {4, 12, 20, ...} (n/8 of
+/// them) of an m-bit memory: single-cell, read logic, CFin/CFid/CFst
+/// and bridges between two hot cells, the three decoder faults with a
+/// hot alias, NPSF victims on a 32-column grid (whose east/west
+/// neighbours are the only other cells touched) and retention lanes
+/// whose delays straddle March G's Del elements.  A full 512-lane
+/// batch therefore touches well under n/4 cells.  Stuck-open lanes sit
+/// on the first and last hot cell too: the cell an element visits
+/// first follows a skipped read, whose golden the lane must echo.
+std::vector<mem::Fault> hot_cell_universe(mem::Addr n, unsigned m,
+                                          std::size_t count) {
+  const mem::Addr hot = n / 8;
+  constexpr mem::Addr kCols = 32;
+  constexpr std::uint64_t kDelays[] = {200, 30'000, 99'999, 150'000,
+                                       1'000'000'000};
+  auto cell = [&](std::size_t i) {
+    return static_cast<mem::Addr>(i % hot) * 8 + 4;
+  };
+  std::vector<mem::Fault> faults;
+  for (std::size_t i = 0; faults.size() < count; ++i) {
+    const unsigned bit = static_cast<unsigned>(i % m);
+    const mem::BitRef v{cell(i * 7), bit};
+    const mem::BitRef a{cell(i * 7 + 1 + i % 5), (bit + 1) % m};
+    const mem::Addr alias = cell(i * 7 + 3);
+    switch (i % 24) {
+      case 0: faults.push_back(mem::Fault::saf(v, 0)); break;
+      case 1: faults.push_back(mem::Fault::saf(v, 1)); break;
+      case 2: faults.push_back(mem::Fault::tf(v, true)); break;
+      case 3: faults.push_back(mem::Fault::tf(v, false)); break;
+      case 4: faults.push_back(mem::Fault::wdf(v)); break;
+      case 5: faults.push_back(mem::Fault::rdf(v)); break;
+      case 6: faults.push_back(mem::Fault::drdf(v)); break;
+      case 7: faults.push_back(mem::Fault::irf(v)); break;
+      case 8: {
+        const std::size_t at[] = {0, hot - 1, i * 7};
+        faults.push_back(mem::Fault::sof({cell(at[(i / 24) % 3]), bit}));
+        break;
+      }
+      case 9: faults.push_back(mem::Fault::cf_in(v, a)); break;
+      case 10: faults.push_back(mem::Fault::cf_id(v, a, true, 0)); break;
+      case 11: faults.push_back(mem::Fault::cf_id(v, a, true, 1)); break;
+      case 12: faults.push_back(mem::Fault::cf_id(v, a, false, 0)); break;
+      case 13: faults.push_back(mem::Fault::cf_id(v, a, false, 1)); break;
+      case 14: faults.push_back(mem::Fault::cf_st(v, a, 1, 0)); break;
+      case 15: faults.push_back(mem::Fault::cf_st(v, a, 0, 1)); break;
+      case 16: faults.push_back(mem::Fault::bridge(v, a, true)); break;
+      case 17: faults.push_back(mem::Fault::bridge(v, a, false)); break;
+      case 18: faults.push_back(mem::Fault::af_no_access(v.cell)); break;
+      case 19:
+        faults.push_back(mem::Fault::af_wrong_access(v.cell, alias));
+        break;
+      case 20:
+        faults.push_back(mem::Fault::af_multi_access(v.cell, alias));
+        break;
+      case 21: {
+        // An interior victim on a hot cell: rows 1.., columns 12 and
+        // 20 of the grid.
+        const mem::Addr row = 1 + static_cast<mem::Addr>(i % (n / kCols - 2));
+        const mem::Addr c =
+            kCols * row + 12 + 8 * static_cast<mem::Addr>(i % 2);
+        faults.push_back(mem::Fault::npsf_static(
+            {c, bit}, static_cast<unsigned>(i % 16),
+            static_cast<unsigned>(i & 1U), kCols));
+        break;
+      }
+      default:
+        faults.push_back(mem::Fault::retention(
+            v, static_cast<unsigned>(i & 1U), kDelays[(i / 24) % 5]));
+        break;
+    }
+  }
+  return faults;
+}
+
+/// One fault's live reference: run_march on a bit-oriented memory,
+/// run_march_backgrounds over the standard backgrounds when m > 1.
+march::MarchResult live_run(const march::MarchTest& test, const mem::Fault& f,
+                            mem::Addr n, unsigned m, bool abort) {
+  mem::FaultyRam scalar(n, m);
+  scalar.reset(f);
+  if (m == 1) {
+    return march::run_march(test, scalar, 0, march::kDefaultDelayTicks,
+                            {.early_abort = abort});
+  }
+  return march::run_march_backgrounds(test, scalar,
+                                      march::standard_backgrounds(m),
+                                      {.early_abort = abort});
+}
+
+/// Replays `universe` in batches of W's lanes on the sparse path and,
+/// on a twin ram, on the dense loop (the same transcript with
+/// zero_init_reads_golden cleared).  Each lane's verdict must be the
+/// live reference's and each batch's ops the sum of its lanes' live
+/// ops; the sparse run must agree with the dense one on the whole
+/// verdict and on ram.reads(), writes() and clock() afterwards.
+template <typename W>
+void check_sparse_batches(std::span<const mem::Fault> universe,
+                          std::span<const march::MarchResult> live,
+                          const core::OpTranscript& t, bool abort) {
+  constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
+  core::OpTranscript dense_t = t;
+  dense_t.zero_init_reads_golden = false;
+  mem::PackedFaultRamT<W> sparse_ram(t.n, t.width);
+  mem::PackedFaultRamT<W> dense_ram(t.n, t.width);
+  core::PackedScratchT<W> scratch;
+  for (std::size_t base = 0; base < universe.size(); base += kLanes) {
+    SCOPED_TRACE("lanes=" + std::to_string(kLanes) + " n=" +
+                 std::to_string(t.n) + " m=" + std::to_string(t.width) +
+                 " abort=" + std::to_string(abort) + " batch at " +
+                 std::to_string(base));
+    const std::size_t count =
+        std::min<std::size_t>(kLanes, universe.size() - base);
+    sparse_ram.reset();
+    dense_ram.reset();
+    std::uint64_t live_ops = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      sparse_ram.add_fault(universe[base + j]);
+      dense_ram.add_fault(universe[base + j]);
+      live_ops += live[base + j].ops;
+    }
+    const auto sparse =
+        march::run_march_packed(sparse_ram, t, {.early_abort = abort}, scratch);
+    const auto dense = march::run_march_packed(dense_ram, dense_t,
+                                               {.early_abort = abort}, scratch);
+    ASSERT_TRUE(sparse.sparse);
+    ASSERT_FALSE(dense.sparse);
+    EXPECT_EQ(sparse.scalar_ops, live_ops);
+    for (unsigned lane = 0; lane < count; ++lane) {
+      EXPECT_EQ(sparse.lane_detected(lane), live[base + lane].fail)
+          << universe[base + lane].describe();
+    }
+    EXPECT_TRUE(sparse.detected == dense.detected);
+    EXPECT_EQ(sparse.scalar_ops, dense.scalar_ops);
+    EXPECT_EQ(sparse_ram.reads(), dense_ram.reads());
+    EXPECT_EQ(sparse_ram.writes(), dense_ram.writes());
+    EXPECT_EQ(sparse_ram.clock(), dense_ram.clock());
+  }
+}
+
+void check_sparse_all_widths(const march::MarchTest& test, mem::Addr n,
+                             unsigned m, std::size_t faults) {
+  const std::vector<mem::Fault> universe = hot_cell_universe(n, m, faults);
+  const std::vector<mem::Word> bgs = march::standard_backgrounds(m);
+  const core::OpTranscript t =
+      march::make_march_transcript(test, n, bgs, m);
+  for (const bool abort : {false, true}) {
+    SCOPED_TRACE(test.name);
+    std::vector<march::MarchResult> live;
+    for (const mem::Fault& f : universe) {
+      live.push_back(live_run(test, f, n, m, abort));
+    }
+    check_sparse_batches<mem::LaneWord>(universe, live, t, abort);
+    check_sparse_batches<mem::WideWord<4>>(universe, live, t, abort);
+    check_sparse_batches<mem::WideWord<8>>(universe, live, t, abort);
+  }
+}
+
+// The sparse bit replay against the live reference and the dense loop,
+// at n = 1024 and 2048, every lane width, abort on and off: March C-,
+// and March G, whose Del elements decay the retention lanes between
+// the visited accesses.
+TEST(SparseMarch, LanesMatchLiveReferenceAndDenseReplay) {
+  check_sparse_all_widths(march::march_c_minus(), 1024, 1, 512);
+  check_sparse_all_widths(march::march_g(), 1024, 1, 512);
+  check_sparse_all_widths(march::march_c_minus(), 2048, 1, 512);
+}
+
+// The word sweep (m = 4) rides the same sparse kernel through
+// read_word/write_word: every background, intra-word aggressors and
+// the retention clock carried across backgrounds.
+TEST(SparseMarch, WordSweepMatchesLiveReferenceAndDenseReplay) {
+  check_sparse_all_widths(march::march_c_minus(), 256, 4, 512);
+  check_sparse_all_widths(march::march_g(), 256, 4, 512);
+}
+
+// reset() after a sparse run clears only the touched cells — every
+// plane of them for a word memory — and that leaves the whole array
+// zero, so a reused ram replays the next batch exactly like a fresh
+// one.  After a dense run the full clear still runs.
+TEST(SparseMarch, ResetAfterSparseRunLeavesEverySiteZero) {
+  for (const unsigned m : {1u, 4u}) {
+    const mem::Addr n = 256;
+    const std::vector<mem::Fault> universe = hot_cell_universe(n, m, 128);
+    const core::OpTranscript t = march::make_march_transcript(
+        march::march_c_minus(), n, march::standard_backgrounds(m), m);
+    core::OpTranscript dense_t = t;
+    dense_t.zero_init_reads_golden = false;
+    const core::OpTranscript* const transcripts[] = {&t, &dense_t};
+    for (const core::OpTranscript* tr : transcripts) {
+      mem::PackedFaultRam reused(n, m);
+      for (std::size_t base = 0; base < universe.size(); base += 64) {
+        mem::PackedFaultRam fresh(n, m);
+        for (std::size_t j = base; j < base + 64; ++j) {
+          fresh.add_fault(universe[j]);
+          reused.add_fault(universe[j]);
+        }
+        const auto want = march::run_march_packed(fresh, *tr, {});
+        const auto got = march::run_march_packed(reused, *tr, {});
+        EXPECT_EQ(got.sparse, tr == &t);
+        EXPECT_EQ(got.detected, want.detected) << "m=" << m;
+        EXPECT_EQ(reused.clock(), fresh.clock()) << "m=" << m;
+        reused.reset();
+        for (mem::Addr site = 0; site < n * m; ++site) {
+          ASSERT_EQ(reused.peek(site), 0u) << "m=" << m << " site " << site;
+        }
+      }
+    }
+  }
+}
+
+// Campaign level: with 64-lane batches a van de Goor sample at n = 2048
+// runs sparse (each batch touches at most 128 + its aliases' cells),
+// with 512 lanes mostly dense; both match the live reference at 1 and 4
+// threads, with and without early abort.
+TEST(SparseMarch, CampaignBitIdenticalToLiveReference) {
+  const mem::Addr n = 2048;
+  const auto full = mem::van_de_goor_universe(n);
+  std::vector<mem::Fault> universe;
+  for (std::size_t i = 0; i < full.size(); i += 61) universe.push_back(full[i]);
+  const auto test = march::march_c_minus();
+  analysis::CampaignOptions opt;
+  opt.n = n;
+  for (const bool early_abort : {false, true}) {
+    const auto reference = analysis::run_campaign(
+        universe,
+        [&](mem::Memory& memory) {
+          return march::run_march(test, memory, 0, march::kDefaultDelayTicks,
+                                  {.early_abort = early_abort})
+              .fail;
+        },
+        opt);
+    for (const unsigned lane_width : {64u, 512u}) {
+      for (const unsigned threads : {1u, 4u}) {
+        analysis::MarchEngineOptions eng;
+        eng.threads = threads;
+        eng.early_abort = early_abort;
+        eng.lane_width = lane_width;
+        SCOPED_TRACE("width=" + std::to_string(lane_width) + " threads=" +
+                     std::to_string(threads) +
+                     " abort=" + std::to_string(early_abort));
+        expect_identical(reference,
+                         analysis::run_march_campaign(universe, test, opt, eng));
+      }
+    }
+  }
 }
 
 }  // namespace
