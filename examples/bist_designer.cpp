@@ -6,20 +6,31 @@
 //
 //   $ ./bist_designer [n] [m]
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/tdb_search.hpp"
 #include "core/hw_overhead.hpp"
 #include "gf/const_mult.hpp"
 #include "gf/gf2m_poly.hpp"
 #include "mem/fault_universe.hpp"
+#include "parse_args.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::atoi(argv[1])) : 4096;
-  const unsigned m = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
+  // The overhead estimate needs a ring longer than the k = 2 window
+  // (n >= 3); GF2m supports 1 <= m <= 16.
+  unsigned long n_arg = 4096;
+  unsigned long m_arg = 8;
+  if (argc > 3 ||
+      (argc > 1 &&
+       !examples::parse_unsigned(argv[1], 3, examples::kMaxCells, n_arg)) ||
+      (argc > 2 && !examples::parse_unsigned(argv[2], 1, 16, m_arg))) {
+    std::fprintf(stderr, "usage: %s [n] [m]   (3 <= n <= %lu, 1 <= m <= 16)\n",
+                 argv[0], examples::kMaxCells);
+    return 2;
+  }
+  const auto n = static_cast<mem::Addr>(n_arg);
+  const auto m = static_cast<unsigned>(m_arg);
 
   // 1. Field selection: first primitive p(z) of degree m.
   const gf::Poly2 p = gf::first_primitive(m);

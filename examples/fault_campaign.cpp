@@ -11,42 +11,26 @@
 // run.
 //
 //   $ ./fault_campaign [m] [n1 n2 ...]     (defaults: m = 1, n = 64 256)
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
 #include "analysis/campaign_suite.hpp"
 #include "mem/fault_universe.hpp"
-
-namespace {
-
-bool parse_unsigned(const char* arg, unsigned long& out) {
-  // strtoul wraps negatives and overflow instead of failing, so both
-  // are rejected explicitly; the 2^24-cell cap keeps a typo from
-  // turning into a multi-gigabyte universe allocation.
-  if (arg[0] == '-' || arg[0] == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoul(arg, &end, 10);
-  return errno == 0 && end != arg && *end == '\0' && out >= 1 &&
-         out <= (1UL << 24);
-}
-
-}  // namespace
+#include "parse_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
   unsigned long m = 1;
   std::vector<analysis::CampaignOptions> grid;
-  if (argc > 1 && !parse_unsigned(argv[1], m)) {
+  if (argc > 1 &&
+      !examples::parse_unsigned(argv[1], 1, examples::kMaxCells, m)) {
     std::fprintf(stderr, "usage: %s [m] [n1 n2 ...]\n", argv[0]);
     return 2;
   }
   for (int i = 2; i < argc; ++i) {
     unsigned long n = 0;
-    if (!parse_unsigned(argv[i], n)) {
+    if (!examples::parse_unsigned(argv[i], 1, examples::kMaxCells, n)) {
       std::fprintf(stderr, "usage: %s [m] [n1 n2 ...]\n", argv[0]);
       return 2;
     }

@@ -7,17 +7,24 @@
 //
 //   $ ./march_vs_prt [n]
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/coverage.hpp"
 #include "analysis/fault_sim.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
+#include "parse_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::atoi(argv[1])) : 48;
+  // The PRT schemes need n > 2 (k = 2 initial cells plus a ring).
+  unsigned long n_arg = 48;
+  if (argc > 2 || (argc == 2 && !examples::parse_unsigned(
+                                    argv[1], 3, examples::kMaxCells, n_arg))) {
+    std::fprintf(stderr, "usage: %s [n]   (3 <= n <= %lu)\n", argv[0],
+                 examples::kMaxCells);
+    return 2;
+  }
+  const auto n = static_cast<mem::Addr>(n_arg);
 
   // Universe: every single-cell fault, adjacent coupling, decoder
   // faults — the realistic local-defect model.

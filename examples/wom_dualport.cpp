@@ -5,16 +5,24 @@
 //
 //   $ ./wom_dualport [n]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/prt_multiport.hpp"
 #include "gf/gf2m_poly.hpp"
 #include "mem/fault_injector.hpp"
+#include "parse_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::atoi(argv[1])) : 257;
+  // The dual-LFSR run splits the array into two rings, each longer
+  // than the k = 2 window: n >= 6.
+  unsigned long n_arg = 257;
+  if (argc > 2 || (argc == 2 && !examples::parse_unsigned(
+                                    argv[1], 6, examples::kMaxCells, n_arg))) {
+    std::fprintf(stderr, "usage: %s [n]   (6 <= n <= %lu)\n", argv[0],
+                 examples::kMaxCells);
+    return 2;
+  }
+  const auto n = static_cast<mem::Addr>(n_arg);
 
   const gf::GF2m field(0b10011);  // p(z) = 1 + z + z^4
   const gf::PolyGF2m g({1, 2, 2});

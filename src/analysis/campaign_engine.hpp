@@ -28,7 +28,9 @@
 //    which stays behind run_campaign / prt_algorithm as the test
 //    oracle.
 //
-// See DESIGN.md §7/§8/§9/§10 and bench/bench_campaign.cpp.
+// See DESIGN.md §7/§8/§9/§10.  perfbench's prt_classical workload
+// measures it; tests/test_campaign_golden.cpp pins its coverage and op
+// counts.
 #pragma once
 
 #include <memory>

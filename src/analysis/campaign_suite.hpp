@@ -27,8 +27,8 @@
 //    coverage/ops rollup and renders the per-configuration coverage
 //    table.
 //
-// See DESIGN.md §10 and §20, and bench/bench_campaign.cpp's suite
-// section for the grid timed against sequential engines.
+// See DESIGN.md §10 and §20.  tests/test_campaign_golden.cpp checks
+// the n x ports grid against per-point engines.
 #pragma once
 
 #include <cstdint>

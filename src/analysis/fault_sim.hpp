@@ -48,8 +48,8 @@ struct SchedTelemetry {
   /// (util::StealCounters::steals); 0 for inline runs.
   std::uint64_t steals = 0;
   /// Packed faults that rode a wider-than-64 lane word.  <=
-  /// packed_faults; 0 when wide dispatch never engaged (narrow build,
-  /// lane_width = 64, or every batch fell back).
+  /// packed_faults; 0 when wide dispatch never engaged (lane_width =
+  /// 64, or every shard was small enough to fall back to narrow lanes).
   std::uint64_t wide_faults = 0;
   /// Widest lane word any batch of the run used (64 when packing never
   /// went wide; 0 when nothing ran packed).

@@ -22,8 +22,9 @@
 //    per-lane op accounting identical to the abort-aware live
 //    run_march_backgrounds reference.
 //
-// See DESIGN.md §8/§9/§10 and bench/bench_campaign.cpp's March
-// section.
+// See DESIGN.md §8/§9/§10.  perfbench's march_vdg_abort workload
+// measures it; tests/test_campaign_golden.cpp pins its coverage and op
+// counts.
 #pragma once
 
 #include <memory>
